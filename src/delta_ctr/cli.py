@@ -1,7 +1,7 @@
 """Command-line entry point: data prep, training, evaluation, ablations,
 and the gradient-check suite.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime error.
+Exit codes: 0 success, 1 usage/config/data/checkpoint error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import data as data_mod
 from . import gradcheck as gradcheck_mod
 from . import model as model_mod
 from . import trainer as trainer_mod
-from .numerics import Rng
+from .numerics import ParameterError
 
 CONFIG_DEFAULTS = {
     "seed": 0,
@@ -80,17 +80,20 @@ def load_config(path, seed_override=None):
 
 def _model_config(cfg, n_fields, variant=None):
     m = cfg["model"]
-    return model_mod.ModelConfig(
-        n_fields=n_fields,
-        embed_dim=m["embed_dim"],
-        tower1_layers=list(m["tower1_layers"]),
-        tower2_layers=list(m["tower2_layers"]),
-        dropout_rate=m["dropout_rate"],
-        cross_depth=m["cross_depth"],
-        lam=m["lambda"],
-        variant=variant or m["variant"],
-        truncation_scope=m["truncation_scope"],
-    ).validate()
+    try:
+        return model_mod.ModelConfig(
+            n_fields=n_fields,
+            embed_dim=m["embed_dim"],
+            tower1_layers=list(m["tower1_layers"]),
+            tower2_layers=list(m["tower2_layers"]),
+            dropout_rate=m["dropout_rate"],
+            cross_depth=m["cross_depth"],
+            lam=m["lambda"],
+            variant=variant or m["variant"],
+            truncation_scope=m["truncation_scope"],
+        ).validate()
+    except ParameterError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _train_settings(cfg):
@@ -117,18 +120,16 @@ def cmd_prep(args):
     vocab = data_mod.build_vocab(rows, len(schema), args.min_freq)
     ds = data_mod.encode(schema, labels, rows, vocab)
     n = len(ds)
-    perm = Rng(args.seed).split("split").permutation(n)
-    n_val = round(n * 0.1)
-    n_test = round(n * 0.1)
+    tr, va, te = data_mod.split_indices(n, args.seed)
     tags = np.zeros(n, dtype=np.uint8)
-    tags[perm[n - n_val - n_test : n - n_test]] = 1
-    tags[perm[n - n_test :]] = 2
+    tags[va] = 1
+    tags[te] = 2
     data_mod.save_cache(args.output, ds, tags)
     with open(args.output + ".vocab.json", "w") as f:
         f.write(vocab.to_json())
     print(f"fields: {len(schema)}")
     print("vocab sizes:", " ".join(str(v) for v in vocab.sizes))
-    print(f"instances: {n} (train {n - n_val - n_test} / val {n_val} / test {n_test})")
+    print(f"instances: {n} (train {len(tr)} / val {len(va)} / test {len(te)})")
     return 0
 
 
@@ -163,7 +164,7 @@ def cmd_ablate(args):
     variants = args.variants.split(",")
     for v in variants:
         if v not in model_mod.VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}; choose from {model_mod.VARIANTS}")
+            raise ConfigError(f"unknown variant {v!r}; choose from {tuple(model_mod.VARIANTS)}")
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     eval_ds = test_ds if len(test_ds) else val_ds
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
@@ -244,7 +245,7 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, data_mod.DataError, json.JSONDecodeError) as e:
+    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime errors

@@ -50,10 +50,6 @@ class Vocabulary:
     def to_json(self):
         return json.dumps({"maps": self.maps})
 
-    @classmethod
-    def from_json(cls, s):
-        return cls(maps=json.loads(s)["maps"])
-
 
 @dataclass
 class Dataset:
@@ -168,19 +164,19 @@ def encode(schema, labels, rows, vocab):
     )
 
 
-def split_dataset(d, seed):
-    """Disjoint 8:1:1 cover, sizes within +-1, permutation fixed by seed."""
-    n = len(d)
-    if n < 10:
-        raise DataError(f"need at least 10 instances to split, got {n}")
+def split_indices(n, seed):
+    """Train, val and test indices: a disjoint 8:1:1 cover of range(n) fixed by seed."""
     perm = Rng(seed).split("split").permutation(n)
-    n_val = round(n * 0.1)
-    n_test = round(n * 0.1)
+    n_val = n_test = round(n * 0.1)
     n_train = n - n_val - n_test
-    tr = perm[:n_train]
-    va = perm[n_train : n_train + n_val]
-    te = perm[n_train + n_val :]
-    return d.subset(tr), d.subset(va), d.subset(te)
+    return perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]
+
+
+def split_dataset(d, seed):
+    """The three split_indices subsets of a dataset of at least 10 rows."""
+    if len(d) < 10:
+        raise DataError(f"need at least 10 instances to split, got {len(d)}")
+    return tuple(d.subset(idx) for idx in split_indices(len(d), seed))
 
 
 def batch_iter(d, batch_size, seed=0, shuffle=True):
@@ -233,45 +229,45 @@ def generate_synthetic(n_fields, n_informative, vocab_size, n_rows, seed):
     )
 
 
+def _cache_row(nf):
+    return np.dtype([("idx", "<i4", (nf,)), ("label", "u1"), ("split", "u1")])
+
+
 def save_cache(path, d, splits=None):
     """Binary cache: magic "DLTA", version u16, n_fields u16, vocab sizes
     u32 each, row count u64, then packed rows (n int32 indices, label u8,
     split tag u8)."""
     n, nf = d.indices.shape
-    if splits is None:
-        splits = np.zeros(n, dtype=np.uint8)
+    rows = np.zeros(n, dtype=_cache_row(nf))
+    rows["idx"] = d.indices
+    rows["label"] = d.labels
+    rows["split"] = 0 if splits is None else splits
     with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<HH", CACHE_VERSION, nf))
-        f.write(struct.pack(f"<{nf}I", *d.vocab_sizes))
-        f.write(struct.pack("<Q", n))
-        for r in range(n):
-            f.write(d.indices[r].astype("<i4").tobytes())
-            f.write(struct.pack("<BB", int(d.labels[r]), int(splits[r])))
+        f.write(struct.pack(f"<4sHH{nf}IQ", CACHE_MAGIC, CACHE_VERSION, nf, *d.vocab_sizes, n))
+        f.write(rows.tobytes())
 
 
 def load_cache(path):
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CACHE_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}")
-        version, nf = struct.unpack("<HH", f.read(4))
+        buf = f.read()
+    if buf[:4] != CACHE_MAGIC:
+        raise DataError(f"{path}: bad magic {buf[:4]!r}")
+    try:
+        version, nf = struct.unpack_from("<HH", buf, 4)
         if version != CACHE_VERSION:
             raise DataError(f"{path}: unsupported cache version {version}")
-        vocab_sizes = list(struct.unpack(f"<{nf}I", f.read(4 * nf)))
-        (n,) = struct.unpack("<Q", f.read(8))
-        indices = np.zeros((n, nf), dtype=np.int32)
-        labels = np.zeros(n, dtype=np.uint8)
-        splits = np.zeros(n, dtype=np.uint8)
-        row_bytes = 4 * nf + 2
-        for r in range(n):
-            buf = f.read(row_bytes)
-            indices[r] = np.frombuffer(buf[: 4 * nf], dtype="<i4")
-            labels[r], splits[r] = buf[-2], buf[-1]
+        *vocab_sizes, n = struct.unpack_from(f"<{nf}IQ", buf, 8)
+    except struct.error:
+        raise DataError(f"{path}: header cut short") from None
+    row = _cache_row(nf)
+    start = 16 + 4 * nf
+    if len(buf) - start != n * row.itemsize:
+        raise DataError(f"{path}: {len(buf) - start} bytes of rows, expected {n} x {row.itemsize}")
+    rows = np.frombuffer(buf, dtype=row, count=n, offset=start)
     d = Dataset(
         schema=[FieldSchema(f"f{i}") for i in range(nf)],
-        indices=indices,
-        labels=labels,
+        indices=rows["idx"].astype(np.int32),
+        labels=rows["label"].copy(),
         vocab_sizes=vocab_sizes,
     )
-    return d, splits
+    return d, rows["split"].copy()

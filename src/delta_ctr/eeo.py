@@ -20,11 +20,12 @@ class CrossLayerParams:
 @dataclass
 class EeoBranch:
     layers: list[CrossLayerParams]
-    head_weight: Tensor  # (m, 1)
-    head_bias: Tensor  # (1,)
+    head_weight: Tensor | None  # (m, 1); None when the cross output feeds the main branch
+    head_bias: Tensor | None  # (1,)
 
     @classmethod
-    def init(cls, m, depth, rng, name="eeo"):
+    def init(cls, m, depth, rng, name="eeo", head=True):
+        """Cross layers, then the scalar head (drawn last) unless head=False."""
         if depth < 1:
             raise DimensionError("cross-net depth must be >= 1")
         s = 1.0 / math.sqrt(m)
@@ -35,6 +36,8 @@ class EeoBranch:
             )
             for i in range(depth)
         ]
+        if not head:
+            return cls(layers=layers, head_weight=None, head_bias=None)
         return cls(
             layers=layers,
             head_weight=Tensor(rng.uniform(-s, s, (m, 1)), name=f"{name}.head_weight"),

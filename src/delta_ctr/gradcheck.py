@@ -161,8 +161,6 @@ def check_full_model(tol=DEFAULT_TOL, seed=2, variant="full"):
         return model_mod.total_loss(l_main, l_eeo, cfg.lam)
 
     for name, p in params.named_params():
-        if name == "fm_bias" and variant != "eeo_fm":
-            continue  # unreachable parameter in this variant
         _check(f"model/{name}", loss, [p], tol, results)
     return results
 

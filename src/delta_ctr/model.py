@@ -8,7 +8,8 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,9 +20,24 @@ from .layers import CtmHeadParams, EmbeddingTable
 from .numerics import ParameterError, Rng, Tensor
 
 CKPT_MAGIC = b"DLTC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
-VARIANTS = ("full", "ctm_soft", "no_efg", "eeo_concat", "eeo_fm", "mlp_only")
+
+class Variant(NamedTuple):  # what one model variant is built from
+    attention: str | None  # "truncated", "soft" or None (towers read raw embeddings)
+    gate: bool  # a learned gate fuses attended and raw embeddings
+    aux: str | None  # training-only auxiliary head: "cross", "fm" or None
+    concat_cross: bool  # the cross-net output joins the towers' outputs
+
+
+VARIANTS = {
+    "full": Variant("truncated", gate=True, aux="cross", concat_cross=False),
+    "ctm_soft": Variant("soft", gate=True, aux="cross", concat_cross=False),
+    "no_efg": Variant("truncated", gate=False, aux="cross", concat_cross=False),
+    "eeo_concat": Variant("truncated", gate=True, aux=None, concat_cross=True),
+    "eeo_fm": Variant("truncated", gate=True, aux="fm", concat_cross=False),
+    "mlp_only": Variant(None, gate=False, aux=None, concat_cross=False),
+}
 
 
 class CheckpointError(ValueError):
@@ -42,7 +58,9 @@ class ModelConfig:
 
     def validate(self):
         if self.variant not in VARIANTS:
-            raise ParameterError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
+            raise ParameterError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
+        if self.truncation_scope not in ("row", "global"):
+            raise ParameterError(f"unknown truncation scope {self.truncation_scope!r}")
         if self.lam < 0:
             raise ParameterError("lambda must be >= 0")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -57,32 +75,8 @@ class ModelConfig:
     def flat_dim(self):
         return self.n_fields * self.embed_dim
 
-    @property
-    def uses_attention(self):
-        return self.variant != "mlp_only"
-
-    @property
-    def uses_efg(self):
-        return self.variant in ("full", "ctm_soft", "eeo_concat", "eeo_fm")
-
-    @property
-    def uses_aux_eeo(self):
-        # eeo_concat folds the cross output into the main branch instead;
-        # mlp_only is the bare baseline
-        return self.variant in ("full", "ctm_soft", "no_efg", "eeo_fm")
-
     def to_dict(self):
-        return {
-            "n_fields": self.n_fields,
-            "embed_dim": self.embed_dim,
-            "tower1_layers": list(self.tower1_layers),
-            "tower2_layers": list(self.tower2_layers),
-            "dropout_rate": self.dropout_rate,
-            "cross_depth": self.cross_depth,
-            "lam": self.lam,
-            "variant": self.variant,
-            "truncation_scope": self.truncation_scope,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -123,78 +117,91 @@ class Mlp:
 
 @dataclass
 class ModelParams:
+    """Learnable tensors of one variant; components it does not read are None."""
+
     config: ModelConfig
     embedding: EmbeddingTable
-    head1: CtmHeadParams
-    head2: CtmHeadParams
-    gate1: Tensor
-    gate2: Tensor
+    head1: CtmHeadParams | None
+    head2: CtmHeadParams | None
+    gate1: Tensor | None
+    gate2: Tensor | None
     tower1: Mlp
     tower2: Mlp
     final_w: Tensor
     final_b: Tensor
-    eeo: eeo_mod.EeoBranch
-    fm_bias: Tensor
+    eeo: eeo_mod.EeoBranch | None  # cross-net, with a head when it is the aux branch
+    fm_bias: Tensor | None
 
     @classmethod
     def init(cls, config, vocab_sizes, seed):
-        """Build all learnable tensors from per-component RNG streams, so the
-        draws for any one component do not depend on which others exist."""
+        """Build the variant's learnable tensors from per-component RNG streams,
+        so the draws for any one component do not depend on which others exist."""
         config.validate()
         if len(vocab_sizes) != config.n_fields:
             raise ParameterError(
                 f"{len(vocab_sizes)} vocab sizes for {config.n_fields} fields"
             )
+        spec = VARIANTS[config.variant]
         root = Rng(seed).split("params")
         d, m = config.embed_dim, config.flat_dim
-        final_in = 0
-        t1_in = t2_in = m
-        tower1 = Mlp.init(t1_in, config.tower1_layers, root.split("tower1"), "tower1")
-        tower2 = Mlp.init(t2_in, config.tower2_layers, root.split("tower2"), "tower2")
-        final_in = tower1.out_dim + tower2.out_dim
-        if config.variant == "eeo_concat":
-            final_in += m
+        tower1 = Mlp.init(m, config.tower1_layers, root.split("tower1"), "tower1")
+        tower2 = Mlp.init(m, config.tower2_layers, root.split("tower2"), "tower2")
+        final_in = tower1.out_dim + tower2.out_dim + (m if spec.concat_cross else 0)
         final_w, final_b = _dense_init(final_in, 1, root.split("final"), "final")
+        eeo = None
+        if spec.aux == "cross" or spec.concat_cross:
+            head = spec.aux == "cross"
+            eeo = eeo_mod.EeoBranch.init(m, config.cross_depth, root.split("eeo"), head=head)
         return cls(
             config=config,
             embedding=EmbeddingTable.init(vocab_sizes, d, root.split("embedding")),
-            head1=CtmHeadParams.init(d, root.split("head1"), "head1"),
-            head2=CtmHeadParams.init(d, root.split("head2"), "head2"),
-            gate1=Tensor(np.zeros(m), name="gate1"),
-            gate2=Tensor(np.zeros(m), name="gate2"),
+            head1=CtmHeadParams.init(d, root.split("head1"), "head1") if spec.attention else None,
+            head2=CtmHeadParams.init(d, root.split("head2"), "head2") if spec.attention else None,
+            gate1=Tensor(np.zeros(m), name="gate1") if spec.gate else None,
+            gate2=Tensor(np.zeros(m), name="gate2") if spec.gate else None,
             tower1=tower1,
             tower2=tower2,
             final_w=final_w,
             final_b=final_b,
-            eeo=eeo_mod.EeoBranch.init(m, config.cross_depth, root.split("eeo")),
-            fm_bias=Tensor([0.0], name="fm_bias"),
+            eeo=eeo,
+            fm_bias=Tensor([0.0], name="fm_bias") if spec.aux == "fm" else None,
         )
 
-    def named_params(self):
-        """Deterministic (name, Tensor) ordering over every learnable tensor."""
+    def _eeo_params(self):
+        eeo = self.eeo
+        out = []
+        for i, p in enumerate(eeo.layers):
+            out += [(f"eeo.cross{i}.weight", p.weight), (f"eeo.cross{i}.bias", p.bias)]
+        if eeo.head_weight is not None:
+            out += [("eeo.head_weight", eeo.head_weight), ("eeo.head_bias", eeo.head_bias)]
+        return out
+
+    def main_branch_params(self):
+        """(name, Tensor) pairs the inference path reads, in checkpoint order."""
+        spec = VARIANTS[self.config.variant]
         out = [("embedding", self.embedding.table)]
-        for tag, head in (("head1", self.head1), ("head2", self.head2)):
-            out += [(f"{tag}.w_q", head.w_q), (f"{tag}.w_k", head.w_k), (f"{tag}.w_v", head.w_v)]
-        out += [("gate1", self.gate1), ("gate2", self.gate2)]
+        if spec.attention:
+            for tag, h in (("head1", self.head1), ("head2", self.head2)):
+                out += [(f"{tag}.w_q", h.w_q), (f"{tag}.w_k", h.w_k), (f"{tag}.w_v", h.w_v)]
+        if spec.gate:
+            out += [("gate1", self.gate1), ("gate2", self.gate2)]
         for tag, tower in (("tower1", self.tower1), ("tower2", self.tower2)):
             for i, (w, b) in enumerate(tower.layers):
                 out += [(f"{tag}.dense{i}.w", w), (f"{tag}.dense{i}.b", b)]
         out += [("final.w", self.final_w), ("final.b", self.final_b)]
-        for i, p in enumerate(self.eeo.layers):
-            out += [(f"eeo.cross{i}.weight", p.weight), (f"eeo.cross{i}.bias", p.bias)]
-        out += [
-            ("eeo.head_weight", self.eeo.head_weight),
-            ("eeo.head_bias", self.eeo.head_bias),
-            ("fm_bias", self.fm_bias),
-        ]
+        if spec.concat_cross:
+            out += self._eeo_params()
         return out
 
-    def main_branch_params(self):
-        """Everything the inference path can touch (excludes the aux branch)."""
-        eeo_names = {n for n, _ in self.named_params() if n.startswith(("eeo.", "fm_bias"))}
-        if self.config.variant == "eeo_concat":
-            eeo_names -= {n for n, _ in self.named_params() if n.startswith("eeo.cross")}
-        return [(n, p) for n, p in self.named_params() if n not in eeo_names]
+    def named_params(self):
+        """Every learnable tensor by name: the main branch, then the aux head."""
+        spec = VARIANTS[self.config.variant]
+        out = self.main_branch_params()
+        if spec.aux == "cross":
+            out += self._eeo_params()
+        elif spec.aux == "fm":
+            out += [("fm_bias", self.fm_bias)]
+        return out
 
     def zero_grads(self):
         for _, p in self.named_params():
@@ -204,7 +211,11 @@ class ModelParams:
         return {n: p.value.copy() for n, p in self.named_params()}
 
     def load_values(self, values):
-        for n, p in self.named_params():
+        named = dict(self.named_params())
+        if named.keys() != values.keys():
+            differ = sorted(named.keys() ^ values.keys())
+            raise CheckpointError(f"tensors {differ} not shared with a {self.config.variant} model")
+        for n, p in named.items():
             if p.value.shape != values[n].shape:
                 raise CheckpointError(f"shape mismatch for {n}")
             p.value = values[n].copy()
@@ -227,6 +238,7 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     infer mode the auxiliary branch and dropout are never evaluated.
     """
     cfg = params.config
+    spec = VARIANTS[cfg.variant]
     training = mode == "train"
     if training and rng is None:
         raise ParameterError("train mode requires an rng")
@@ -237,14 +249,14 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     e_flat = nm.reshape(emb, (b, cfg.flat_dim))
 
     state1 = state2 = None
-    if cfg.uses_attention:
-        if cfg.variant == "ctm_soft":
+    if spec.attention:
+        if spec.attention == "soft":
             enh1, state1 = layers_mod.soft_attention_forward(emb, params.head1)
             enh2, state2 = layers_mod.soft_attention_forward(emb, params.head2)
         else:
             enh1, state1 = layers_mod.ctm_forward(emb, params.head1, k, cfg.truncation_scope)
             enh2, state2 = layers_mod.ctm_forward(emb, params.head2, k, cfg.truncation_scope)
-        if cfg.uses_efg:
+        if spec.gate:
             x1 = layers_mod.efg_fuse(e_flat, enh1, params.gate1)
             x2 = layers_mod.efg_fuse(e_flat, enh2, params.gate2)
         else:
@@ -255,7 +267,7 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     t1 = params.tower1.forward(x1, cfg.dropout_rate, rng.split("tower1"), training)
     t2 = params.tower2.forward(x2, cfg.dropout_rate, rng.split("tower2"), training)
     pieces = [t1, t2]
-    if cfg.variant == "eeo_concat":
+    if spec.concat_cross:
         x = e_flat
         for p in params.eeo.layers:
             x = eeo_mod.cross_layer(e_flat, x, p)
@@ -265,8 +277,8 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     y_main = nm.sigmoid(logit)
 
     y_eeo = None
-    if training and cfg.uses_aux_eeo and cfg.lam > 0:
-        if cfg.variant == "eeo_fm":
+    if training and spec.aux and cfg.lam > 0:
+        if spec.aux == "fm":
             aux_logit = eeo_mod.eeo_fm_forward(emb, params.fm_bias)
         else:
             aux_logit = eeo_mod.eeo_forward(e_flat, params.eeo)
@@ -298,7 +310,7 @@ def backward_and_accumulate(indices, labels, params, k, rng):
     """Train-mode forward + backward; returns (loss value, grads by name).
 
     The auxiliary branch reaches only the embedding table and its own
-    parameters; a NaN gradient aborts with the offending parameter named.
+    parameters. Tensors the loss did not reach get a zero gradient.
     """
     params.zero_grads()
     out = delta_forward(indices, params, k, mode="train", rng=rng)
@@ -308,10 +320,7 @@ def backward_and_accumulate(indices, labels, params, k, rng):
     loss.backward()
     grads = {}
     for name, p in params.named_params():
-        g = np.zeros_like(p.value) if p.grad is None else p.grad
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"NaN/Inf gradient in parameter {name}")
-        grads[name] = g
+        grads[name] = np.zeros_like(p.value) if p.grad is None else p.grad
     return float(loss.value), grads
 
 
@@ -338,22 +347,32 @@ def save_checkpoint(path, params, extra=None):
 
 
 def load_checkpoint(path, vocab_sizes):
+    """Any unreadable or mismatched checkpoint raises CheckpointError."""
     with open(path, "rb") as f:
-        if f.read(4) != CKPT_MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint")
-        version, hlen = struct.unpack("<HI", f.read(6))
-        if version != CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        header = json.loads(f.read(hlen))
+        buf = f.read()
+    if buf[:4] != CKPT_MAGIC:
+        raise CheckpointError(f"{path}: not a model checkpoint")
+    version = int.from_bytes(buf[4:6], "little")
+    if version != CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}, expected {CKPT_VERSION}")
+    try:
+        (hlen,) = struct.unpack_from("<I", buf, 6)
+        pos = 10 + hlen
+        header = json.loads(buf[10:pos])
         config = ModelConfig.from_dict(header["config"])
         params = ModelParams.init(config, vocab_sizes, seed=0)
         values = {}
         for _ in range(header["n_tensors"]):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode()
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
+            (nlen,) = struct.unpack_from("<H", buf, pos)
+            name = buf[pos + 2 : pos + 2 + nlen].decode()
+            pos += 2 + nlen
+            (ndim,) = struct.unpack_from("<B", buf, pos)
+            shape = struct.unpack_from(f"<{ndim}Q", buf, pos + 1)
+            pos += 1 + 8 * ndim
             count = int(np.prod(shape)) if ndim else 1
-            values[name] = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape).copy()
+            values[name] = np.frombuffer(buf, "<f8", count, pos).reshape(shape)
+            pos += 8 * count
         params.load_values(values)
-    return params, header["extra"]
+        return params, header["extra"]
+    except (struct.error, ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: unreadable or mismatched checkpoint: {e}") from e

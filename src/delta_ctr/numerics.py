@@ -128,18 +128,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, name={self.name})"
 
@@ -367,11 +355,6 @@ def topk_truncate(w, k):
     mask = topk_mask(w.value, k)
     out = Tensor(np.where(mask, w.value, 0.0), (w,), lambda g: _accum(w, g * mask))
     return out, mask
-
-
-def assert_finite(arr, what="tensor"):
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"non-finite values in {what}")
 
 
 def grad_of(f, params):

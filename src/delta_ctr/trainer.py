@@ -93,15 +93,16 @@ class OptimizerState:
 
 
 def optimizer_step(params, grads, state, lr):
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction, or none if a gradient is NaN/Inf."""
+    for name, _ in params.named_params():
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingError(f"NaN/Inf gradient in {name}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for name, p in params.named_params():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"NaN/Inf gradient in {name}")
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / c1
@@ -146,16 +147,16 @@ class TrainSettings:
     fixed_k: int | None = None  # disable the curriculum, train at this k
 
 
-def predict(params, dataset, k, batch_size=4096):
-    """Infer-mode scores over a dataset (pure function of params)."""
+def predict(params, dataset, k):
+    """Infer-mode scores over a dataset in 4096-row batches (pure function of params)."""
     scores = []
-    for idx, _ in data_mod.batch_iter(dataset, batch_size, shuffle=False):
+    for idx, _ in data_mod.batch_iter(dataset, 4096, shuffle=False):
         out = model_mod.delta_forward(idx, params, k, mode="infer")
         scores.append(out.y_main.value)
     return np.concatenate(scores) if scores else np.zeros(0)
 
 
-def evaluate(params, dataset, k, batch_size=4096):
+def evaluate(params, dataset, k):
     if len(dataset) == 0:
         raise ParameterError("empty dataset")
     return evaluate_scores(predict(params, dataset, k), dataset.labels)
@@ -193,17 +194,14 @@ def fit(config, settings, train_ds, val_ds, seed):
             train_ds, settings.batch_size, seed=seed + 7919 * epoch, shuffle=True
         )
         for bi, (idx, labels) in enumerate(batches):
-            try:
-                loss, grads = model_mod.backward_and_accumulate(
-                    idx, labels, params, k, epoch_rng.split(("batch", bi))
-                )
-            except FloatingPointError as e:
-                raise TrainingError(str(e)) from e
+            loss, grads = model_mod.backward_and_accumulate(
+                idx, labels, params, k, epoch_rng.split(("batch", bi))
+            )
             if not math.isfinite(loss):
                 raise TrainingError(f"diverged at epoch {epoch}: loss={loss}")
             optimizer_step(params, grads, opt, sched.lr)
             losses.append(loss)
-        val = evaluate(params, val_ds, k, settings.batch_size)
+        val = evaluate(params, val_ds, k)
         history.records.append(
             EpochRecord(
                 epoch=epoch,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from delta_ctr import cli, data as data_mod
+from delta_ctr import cli, data as data_mod, model as model_mod
 
 
 @pytest.fixture
@@ -68,6 +68,13 @@ class TestPrep:
         cli.main(["prep", "--input", str(toy_raw), "--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seven_rows(self, tmp_path, capsys):
+        raw = tmp_path / "seven.csv"
+        raw.write_text("label,a\n" + "".join(f"{i % 2},t{i % 3}\n" for i in range(7)))
+        rc = cli.main(["prep", "--input", str(raw), "--output", str(tmp_path / "o.bin")])
+        assert rc == 0
+        assert "instances: 7 (train 5 / val 1 / test 1)" in capsys.readouterr().out
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("label,a\n1,x\noops\n")
@@ -102,6 +109,15 @@ class TestTrain:
         assert rc == 1
         assert "bogus_knob" in capsys.readouterr().err
 
+    def test_unknown_truncation_scope_exit_1(self, config_file, tmp_path, capsys):
+        raw = json.loads(config_file.read_text())
+        raw["model"]["truncation_scope"] = "colum"
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        rc = cli.main(["train", "--config", str(p)])
+        assert rc == 1
+        assert "colum" in capsys.readouterr().err
+
     def test_lambda_default_half(self):
         assert cli.CONFIG_DEFAULTS["model"]["lambda"] == 0.5
         assert cli.CONFIG_DEFAULTS["trainer"]["batch_size"] == 4096
@@ -124,7 +140,32 @@ class TestEval:
         cache2 = tmp_path / "other.bin"
         data_mod.save_cache(cache2, other)
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "run.ckpt"), "--data", str(cache2)])
-        assert rc == 2
+        assert rc == 1
+
+    def test_field_count_mismatch_exit_1(self, tmp_path, capsys):
+        cfg = model_mod.ModelConfig(n_fields=4, embed_dim=2, tower1_layers=[4], tower2_layers=[4])
+        ckpt = tmp_path / "four.ckpt"
+        model_mod.save_checkpoint(ckpt, model_mod.ModelParams.init(cfg, [3] * 4, seed=0))
+        cache = tmp_path / "one.bin"
+        data_mod.save_cache(cache, data_mod.generate_synthetic(1, 1, 3, 30, seed=1))
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(cache)])
+        assert rc == 1
+        assert "vocab sizes" in capsys.readouterr().err
+
+    def test_cut_checkpoint_exit_1(self, config_file, prepped, tmp_path, capsys):
+        cli.main(["train", "--config", str(config_file)])
+        ckpt = tmp_path / "run.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-50])
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(prepped)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_cut_cache_exit_1(self, config_file, prepped, tmp_path):
+        cli.main(["train", "--config", str(config_file)])
+        prepped.write_bytes(prepped.read_bytes()[:-100])
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "run.ckpt"), "--data", str(prepped)])
+        assert rc == 1
 
 
 class TestAblate:

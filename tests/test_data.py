@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -91,6 +92,11 @@ class TestSplit:
         d = data_mod.generate_synthetic(3, 1, 5, 9, seed=0)
         with pytest.raises(DataError):
             data_mod.split_dataset(d, seed=0)
+
+    def test_dataset_split_is_the_index_split(self):
+        d = data_mod.generate_synthetic(3, 1, 5, 53, seed=0)
+        for part, idx in zip(data_mod.split_dataset(d, seed=4), data_mod.split_indices(53, seed=4)):
+            assert np.array_equal(part.indices, d.indices[idx])
 
 
 class TestBatchIter:
@@ -201,3 +207,28 @@ class TestCache:
         p.write_bytes(b"NOPE" + b"\x00" * 20)
         with pytest.raises(DataError, match="magic"):
             data_mod.load_cache(p)
+
+    def test_layout_matches_row_by_row_packing(self, tmp_path):
+        """The documented layout, packed one row at a time with struct."""
+        d = data_mod.generate_synthetic(3, 2, 7, 23, seed=6)
+        splits = np.array([i % 3 for i in range(23)], dtype=np.uint8)
+        expected = b"DLTA" + struct.pack("<HH3IQ", 1, 3, *d.vocab_sizes, 23)
+        for r in range(23):
+            expected += struct.pack("<3iBB", *d.indices[r], d.labels[r], splits[r])
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d, splits)
+        assert p.read_bytes() == expected
+
+    def test_cut_cache_raises_data_error(self, tmp_path):
+        d = data_mod.generate_synthetic(4, 2, 7, 30, seed=5)
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d)
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in (4, 6, 8, 15, 24, 31, 32, 33, len(raw) // 2, len(raw) - 100, len(raw) - 1):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(DataError):
+                data_mod.load_cache(cut)
+        cut.write_bytes(raw + b"\x00")
+        with pytest.raises(DataError):
+            data_mod.load_cache(cut)

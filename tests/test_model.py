@@ -108,20 +108,88 @@ class TestDeltaForward:
         out = model_mod.delta_forward(idx, params, k=2, mode="train", rng=Rng(0))
         assert out.y_eeo is None  # folded into the main branch instead
 
-    def test_mlp_only_ignores_attention_params(self):
-        cfg = tiny_config(variant="mlp_only")
-        params = ModelParams.init(cfg, VOCABS, seed=6)
-        idx, _ = make_batch()
-        a = model_mod.delta_forward(idx, params, k=2, mode="infer")
-        params.head1.w_q.value = params.head1.w_q.value + 100.0
-        b = model_mod.delta_forward(idx, params, k=2, mode="infer")
-        assert np.array_equal(a.y_main.value, b.y_main.value)
-
     def test_train_requires_rng(self):
         params = ModelParams.init(tiny_config(), VOCABS, seed=7)
         idx, _ = make_batch()
         with pytest.raises(ParameterError):
             model_mod.delta_forward(idx, params, k=2, mode="train")
+
+
+VARIANT_NAMES = list(model_mod.VARIANTS)
+
+
+def names_from_table(cfg):
+    """(every tensor name, main-branch names) that the VARIANTS entry implies."""
+    spec = model_mod.VARIANTS[cfg.variant]
+    main = ["embedding"]
+    if spec.attention:
+        main += [f"head{h}.w_{p}" for h in (1, 2) for p in "qkv"]
+    if spec.gate:
+        main += ["gate1", "gate2"]
+    for tag, sizes in (("tower1", cfg.tower1_layers), ("tower2", cfg.tower2_layers)):
+        main += [f"{tag}.dense{i}.{p}" for i in range(len(sizes)) for p in "wb"]
+    main += ["final.w", "final.b"]
+    cross = [f"eeo.cross{i}.{p}" for i in range(cfg.cross_depth) for p in ("weight", "bias")]
+    if spec.concat_cross:
+        main += cross
+    aux = {"cross": cross + ["eeo.head_weight", "eeo.head_bias"], "fm": ["fm_bias"], None: []}
+    return main + aux[spec.aux], main
+
+
+class TestVariantTable:
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_named_params_follow_the_table(self, variant):
+        cfg = tiny_config(variant=variant, cross_depth=3)
+        params = ModelParams.init(cfg, VOCABS, seed=6)
+        every, main = names_from_table(cfg)
+        assert [n for n, _ in params.named_params()] == every
+        assert [n for n, _ in params.main_branch_params()] == main
+
+    def test_variants_drop_what_they_never_read(self):
+        """Tensors each variant lacks, out of all a variant can hold, at cross depth 3."""
+        held = {}
+        for v in VARIANT_NAMES:
+            params = ModelParams.init(tiny_config(variant=v, cross_depth=3), VOCABS, seed=0)
+            held[v] = {n for n, _ in params.named_params()}
+        every = set().union(*held.values())
+        dropped = {v: len(every - held[v]) for v in VARIANT_NAMES}
+        assert dropped == {"full": 1, "ctm_soft": 1, "no_efg": 3, "eeo_concat": 3, "eeo_fm": 8,
+                           "mlp_only": 17}
+
+    def test_mlp_only_holds_embedding_towers_and_final(self, tmp_path):
+        from delta_ctr import trainer as trainer_mod
+
+        params = ModelParams.init(tiny_config(variant="mlp_only"), VOCABS, seed=6)
+        names = [n for n, _ in params.named_params()]
+        assert all(n == "embedding" or n.startswith(("tower", "final.")) for n in names)
+        assert list(trainer_mod.OptimizerState.init(params).m) == names
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, params)
+        raw = p.read_bytes()
+        assert not any(t in raw for t in (b"head", b"gate", b"eeo.", b"fm_bias"))
+        assert model_mod.load_checkpoint(p, VOCABS)[0].copy_values().keys() == set(names)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_every_tensor_gets_a_gradient(self, variant):
+        params = ModelParams.init(tiny_config(variant=variant, lam=0.5), VOCABS, seed=17)
+        idx, labels = make_batch(b=16)
+        params.zero_grads()
+        out = model_mod.delta_forward(idx, params, 2, mode="train", rng=Rng(5))
+        l_eeo = None if out.y_eeo is None else model_mod.bce_loss(out.y_eeo, labels)
+        model_mod.total_loss(model_mod.bce_loss(out.y_main, labels), l_eeo, 0.5).backward()
+        missing = [n for n, p in params.named_params() if p.grad is None or not np.any(p.grad != 0)]
+        assert not missing
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_shared_tensors_init_like_full(self, variant):
+        full = dict(ModelParams.init(tiny_config(), VOCABS, seed=18).named_params())
+        params = ModelParams.init(tiny_config(variant=variant), VOCABS, seed=18)
+        checked = 0
+        for n, p in params.named_params():
+            if n in full and full[n].shape == p.shape:
+                assert np.array_equal(p.value, full[n].value), n
+                checked += 1
+        assert checked >= 3
 
 
 class TestNoEfgVariant:
@@ -263,6 +331,49 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             model_mod.load_checkpoint(p, VOCABS)
 
+    def test_version_1_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, ModelParams.init(tiny_config(), VOCABS, seed=19))
+        raw = bytearray(p.read_bytes())
+        raw[4:6] = (1).to_bytes(2, "little")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="version 1"):
+            model_mod.load_checkpoint(p, VOCABS)
+
+    @staticmethod
+    def save_with(path, edit):
+        """Save a `full` checkpoint whose tensor list is edit(named_params())."""
+        params = ModelParams.init(tiny_config(), VOCABS, seed=20)
+        named = edit(params.named_params())
+        params.named_params = lambda: named
+        model_mod.save_checkpoint(path, params)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        self.save_with(tmp_path / "m.ckpt", lambda named: named[:-1])
+        with pytest.raises(CheckpointError, match="eeo.head_bias"):
+            model_mod.load_checkpoint(tmp_path / "m.ckpt", VOCABS)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        self.save_with(tmp_path / "m.ckpt", lambda named: named + [("stray", Tensor(np.zeros(2)))])
+        with pytest.raises(CheckpointError, match="stray"):
+            model_mod.load_checkpoint(tmp_path / "m.ckpt", VOCABS)
+
+    def test_field_count_mismatch_is_a_checkpoint_error(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, ModelParams.init(tiny_config(), VOCABS, seed=21))
+        with pytest.raises(CheckpointError, match="vocab sizes"):
+            model_mod.load_checkpoint(p, [5])
+
+    def test_truncated_file_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, ModelParams.init(tiny_config(), VOCABS, seed=22))
+        raw = p.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in (3, 5, 8, 12, 60, len(raw) // 2, len(raw) - 50, len(raw) - 1):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(CheckpointError):
+                model_mod.load_checkpoint(cut, VOCABS)
+
 
 class TestConfigValidation:
     def test_unknown_variant(self):
@@ -276,3 +387,7 @@ class TestConfigValidation:
     def test_bad_tower(self):
         with pytest.raises(ParameterError):
             tiny_config(tower1_layers=[0]).validate()
+
+    def test_unknown_truncation_scope(self):
+        with pytest.raises(ParameterError, match="colum"):
+            tiny_config(truncation_scope="colum").validate()

@@ -165,6 +165,18 @@ class TestOptimizerStep:
         with pytest.raises(trainer_mod.TrainingError, match="gate1"):
             trainer_mod.optimizer_step(params, grads, state, lr=0.1)
 
+    def test_nan_gradient_changes_nothing(self):
+        params, state = self.make()
+        before = params.copy_values()
+        grads = {n: np.ones_like(p.value) for n, p in params.named_params()}
+        grads["final.w"][0] = np.nan
+        with pytest.raises(trainer_mod.TrainingError, match="final.w"):
+            trainer_mod.optimizer_step(params, grads, state, lr=0.1)
+        assert state.step == 0
+        for n, p in params.named_params():
+            assert np.array_equal(p.value, before[n]), n
+            assert not np.any(state.m[n]), n
+
 
 def small_data(seed=0, rows=400):
     ds = data_mod.generate_synthetic(4, 2, 8, rows, seed=seed)
