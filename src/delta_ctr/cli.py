@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -234,10 +233,6 @@ def main(argv=None):
     if "--dump-config" in argv:
         print(json.dumps(CONFIG_DEFAULTS, indent=2))
         return 0
-    if os.environ.get("DELTA_DETERMINISTIC") == "1":
-        # single-threaded bit-exact mode: pin BLAS reduction order
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -92,11 +92,14 @@ def check_layers(tol=DEFAULT_TOL, seed=1):
     head = layers_mod.CtmHeadParams.init(d, rng.split("head"))
     weights = rng_fixed_weights((2, n * d))
 
-    def ctm_loss():
-        out, _ = layers_mod.ctm_forward(emb, head, k=2)
-        return nm.tsum(nm.mul(out, weights))
+    def ctm_loss(k, scope):
+        return lambda: nm.tsum(nm.mul(layers_mod.ctm_forward(emb, head, k, scope)[0], weights))
 
-    _check("ctm_forward", ctm_loss, [emb, head.w_q, head.w_k, head.w_v], tol, results)
+    ctm_params = [emb, head.w_q, head.w_k, head.w_v]
+    _check("ctm_forward", ctm_loss(2, "row"), ctm_params, tol, results)
+    _check("ctm_forward/k=n", ctm_loss(n, "row"), ctm_params, tol, results)
+    # at k=1 global scope keeps 0 to 2 weights per row here, unlike row scope
+    _check("ctm_forward/global", ctm_loss(1, "global"), ctm_params, tol, results)
 
     e_flat = Tensor(rng.normal((2, n * d)))
     enh = Tensor(rng.normal((2, n * d)))

@@ -372,6 +372,8 @@ def load_checkpoint(path, vocab_sizes):
             count = int(np.prod(shape)) if ndim else 1
             values[name] = np.frombuffer(buf, "<f8", count, pos).reshape(shape)
             pos += 8 * count
+        if pos != len(buf):
+            raise ValueError(f"{len(buf) - pos} stray bytes after the last tensor")
         params.load_values(values)
         return params, header["extra"]
     except (struct.error, ValueError, KeyError, TypeError) as e:

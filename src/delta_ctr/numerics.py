@@ -231,9 +231,9 @@ def sigmoid(a):
 def softmax_rows(a):
     """Softmax along the last axis, stabilized by row-max subtraction."""
     a = as_tensor(a)
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_val = e / e.sum(axis=-1, keepdims=True)
+    out_val = a.value - a.value.max(axis=-1, keepdims=True)
+    np.exp(out_val, out=out_val)
+    out_val /= out_val.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * out_val).sum(axis=-1, keepdims=True)
@@ -333,26 +333,42 @@ def transpose_last(a):
 def topk_mask(w_val, k):
     """Boolean mask keeping the k largest entries of each last-axis row.
 
-    Ties at the k-th weight break toward the lower column index (stable sort
-    on descending values).
+    The mask is the one a stable sort on descending values gives: ties at
+    the k-th weight break toward the lower column index, and NaN ranks
+    below every number. k=n keeps everything without a selection pass.
+    Otherwise each row's k-th largest value comes from a partition (O(n)
+    per row) and the row keeps every entry at or above it. A row that
+    keeps exactly k entries that way keeps the stable sort's k (nothing
+    it drops is equal to what it keeps, and NaN compares false). The rare
+    rows that keep another count (extra ties at the cutoff, or a NaN that
+    the partition ranks on top) are sorted instead.
     """
     n = w_val.shape[-1]
     if not 1 <= k <= n:
         raise ParameterError(f"bottleneck k={k} outside [1, {n}]")
-    order = np.argsort(-w_val, axis=-1, kind="stable")
-    mask = np.zeros(w_val.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask
+    if k == n:
+        return np.ones(w_val.shape, dtype=bool)
+    rows = w_val.reshape(-1, n)
+    mask = rows >= np.partition(rows, n - k, axis=-1)[:, n - k, None]
+    redo = np.flatnonzero(mask.sum(axis=-1) != k)
+    if redo.size:
+        order = np.argsort(-rows[redo], axis=-1, kind="stable")
+        mask[redo] = False
+        mask[redo[:, None], order[:, :k]] = True
+    return mask.reshape(w_val.shape)
 
 
 def topk_truncate(w, k):
     """Keep the per-row top-k weights verbatim, zero the rest.
 
     The selection mask is treated as constant during backward: gradient
-    flows only through the kept entries.
+    flows only through the kept entries. At k=n the weights pass through
+    unchanged.
     """
     w = as_tensor(w)
     mask = topk_mask(w.value, k)
+    if k == w.value.shape[-1]:
+        return Tensor(w.value, (w,), lambda g: _accum(w, g)), mask
     out = Tensor(np.where(mask, w.value, 0.0), (w,), lambda g: _accum(w, g * mask))
     return out, mask
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +165,15 @@ class TestEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_trailing_checkpoint_bytes_exit_1(self, config_file, prepped, tmp_path, capsys):
+        cli.main(["train", "--config", str(config_file)])
+        ckpt = tmp_path / "run.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes() + b"\x00" * 7)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(prepped)])
+        assert rc == 1
+        assert "stray bytes" in capsys.readouterr().err
+
     def test_cut_cache_exit_1(self, config_file, prepped, tmp_path):
         cli.main(["train", "--config", str(config_file)])
         prepped.write_bytes(prepped.read_bytes()[:-100])
@@ -230,3 +243,33 @@ class TestMisc:
 
     def test_usage_error_exit_1(self):
         assert cli.main(["train"]) == 1  # missing --config
+
+
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported, then
+# imports the CLI module the way the `delta` entry point does.
+PIN_PROBE = """
+import importlib.abc, os, sys
+seen = []
+
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Probe())
+import delta_ctr.cli
+print(seen[0], os.environ["OPENBLAS_NUM_THREADS"], os.environ["OMP_NUM_THREADS"])
+"""
+
+
+def test_deterministic_mode_pins_blas_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["DELTA_DETERMINISTIC"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", PIN_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["1", "1", "1"]

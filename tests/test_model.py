@@ -375,6 +375,14 @@ class TestCheckpoint:
                 model_mod.load_checkpoint(cut, VOCABS)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, ModelParams.init(tiny_config(), VOCABS, seed=23))
+        p.write_bytes(p.read_bytes() + b"\x00" * 7)
+        with pytest.raises(CheckpointError, match="7 stray bytes"):
+            model_mod.load_checkpoint(p, VOCABS)
+
+
 class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):

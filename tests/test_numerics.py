@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from delta_ctr import layers as layers_mod
 from delta_ctr import numerics as nm
 from delta_ctr.numerics import (
     DimensionError,
@@ -208,3 +212,90 @@ def test_topk_mask_bad_k():
         nm.topk_mask(np.ones((2, 3)), 4)
     with pytest.raises(ParameterError):
         nm.topk_mask(np.ones((2, 3)), 0)
+
+
+def topk_oracle(w, k):
+    """The stable-argsort selection: ties to the lower index, NaN last."""
+    mask = np.zeros(w.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(-w, axis=-1, kind="stable")[..., :k], True, axis=-1)
+    return mask
+
+
+# few distinct values, so that ties at the cutoff are common
+TIED_VALUES = [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, np.inf]
+
+
+@st.composite
+def tied_weights(draw, n, lead):
+    """An array of shape lead + (n,) drawn from TIED_VALUES, with some rows
+    set all equal and some rows given a NaN."""
+    w = draw(hnp.arrays(np.float64, lead + (n,), elements=st.sampled_from(TIED_VALUES)))
+    rows = w.reshape(-1, n)
+    flags = st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))
+    for i, (flat, nan) in enumerate(zip(draw(flags), draw(flags))):
+        if flat:
+            rows[i] = draw(st.sampled_from(TIED_VALUES))
+        if nan:
+            rows[i, draw(st.integers(0, n - 1))] = np.nan
+    return w
+
+
+@st.composite
+def row_case(draw):
+    n = draw(st.integers(1, 40))
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    return draw(tied_weights(n, lead))
+
+
+@st.composite
+def square_case(draw):
+    n = draw(st.integers(1, 6))
+    return draw(tied_weights(n, (draw(st.integers(1, 3)), n)))
+
+
+class TestTopkMaskProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(row_case())
+    def test_matches_stable_argsort(self, w):
+        n = w.shape[-1]
+        for k in range(1, n + 1):
+            mask = nm.topk_mask(w, k)
+            assert mask.shape == w.shape and mask.dtype == bool
+            assert np.array_equal(mask, topk_oracle(w, k)), k
+            assert np.all(mask.sum(axis=-1) == k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_case())
+    def test_k_equals_n_passes_weights_through(self, w):
+        n = w.shape[-1]
+        theta, mask = nm.topk_truncate(Tensor(w), n)
+        assert mask.all()
+        assert theta.value.tobytes() == w.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_case())
+    def test_global_scope_matches_flat_oracle(self, w):
+        b, n, _ = w.shape
+        flat = w.reshape(b, n * n)
+        for k in range(1, n + 1):
+            theta, mask = layers_mod.topk_truncate(Tensor(w), k, scope="global")
+            expected = topk_oracle(flat, k * n)
+            assert np.array_equal(mask.reshape(b, n * n), expected), k
+            assert theta.value.tobytes() == np.where(expected, flat, 0.0).reshape(w.shape).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+        elements=st.floats(-1e3, 1e3, allow_nan=False),
+    )
+)
+def test_softmax_rows_matches_three_temporary_formula(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    expected = e / e.sum(axis=-1, keepdims=True)
+    before = x.copy()
+    assert nm.softmax_rows(Tensor(x)).value.tobytes() == expected.tobytes()
+    assert x.tobytes() == before.tobytes()  # the input is not overwritten
