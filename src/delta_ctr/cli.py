@@ -115,9 +115,9 @@ def _load_splits(cache_path):
 
 
 def cmd_prep(args):
-    schema, labels, rows = data_mod.read_raw(args.input)
-    vocab = data_mod.build_vocab(rows, len(schema), args.min_freq)
-    ds = data_mod.encode(schema, labels, rows, vocab)
+    schema, labels, columns = data_mod.read_raw(args.input)
+    vocab = data_mod.build_vocab(columns, args.min_freq)
+    ds = data_mod.encode(schema, labels, columns, vocab)
     n = len(ds)
     tr, va, te = data_mod.split_indices(n, args.seed)
     tags = np.zeros(n, dtype=np.uint8)

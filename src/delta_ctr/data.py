@@ -12,7 +12,9 @@ import csv
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,7 +33,6 @@ class DataError(ValueError):
 @dataclass
 class FieldSchema:
     name: str
-    kind: str = "categorical"  # categorical | numeric-to-bucket
 
 
 @dataclass
@@ -43,9 +44,6 @@ class Vocabulary:
     @property
     def sizes(self):
         return [len(m) + 1 for m in self.maps]
-
-    def encode_token(self, field_i, token):
-        return self.maps[field_i].get(token, 0)
 
     def to_json(self):
         return json.dumps({"maps": self.maps})
@@ -60,7 +58,6 @@ class Dataset:
     labels: np.ndarray  # (N,) uint8
     vocab_sizes: list[int]
     bayes_scores: np.ndarray | None = None  # synthetic data only
-    informative_fields: list[int] = field(default_factory=list)
 
     def __len__(self):
         return len(self.labels)
@@ -76,7 +73,6 @@ class Dataset:
             labels=self.labels[idx],
             vocab_sizes=self.vocab_sizes,
             bayes_scores=None if self.bayes_scores is None else self.bayes_scores[idx],
-            informative_fields=list(self.informative_fields),
         )
 
 
@@ -97,9 +93,10 @@ def _detect_delimiter(header_line):
 
 
 def read_raw(path):
-    """Parse a delimited file into (schema, label list, token rows).
+    """Parse a delimited file into (schema, label list, token columns).
 
-    The header must contain a `label` column; every other column is a field.
+    The header must contain a `label` column; every other column is a field,
+    returned as one tuple of its tokens in file order.
     """
     with open(path, newline="") as f:
         first = f.readline()
@@ -110,8 +107,6 @@ def read_raw(path):
         if "label" not in header:
             raise DataError(f"{path}: no 'label' column in header {header}")
         label_col = header.index("label")
-        names = [h for i, h in enumerate(header) if i != label_col]
-        schema = [FieldSchema(name) for name in names]
         labels, rows = [], []
         for lineno, row in enumerate(csv.reader(f, delimiter=delim), start=2):
             if not row:
@@ -125,37 +120,32 @@ def read_raw(path):
             if y not in (0, 1):
                 raise DataError(f"{path}:{lineno}: label must be 0/1, got {y}")
             labels.append(y)
-            rows.append([tok for i, tok in enumerate(row) if i != label_col])
-    return schema, labels, rows
+            rows.append(row)
+    columns = list(zip(*rows)) or [()] * len(header)
+    del columns[label_col]
+    schema = [FieldSchema(name) for i, name in enumerate(header) if i != label_col]
+    return schema, labels, columns
 
 
-def build_vocab(rows, n_fields, min_freq=1):
-    """Deterministic vocabulary: tokens sorted by frequency desc then
-    lexicographic; tokens below min_freq fold to index 0."""
+def build_vocab(columns, min_freq=1):
+    """Deterministic vocabulary per column: tokens seen at least min_freq
+    times take indices 1, 2, ... by count descending, then by token; every
+    other token folds to index 0."""
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
-    counts = [dict() for _ in range(n_fields)]
-    for row in rows:
-        for i, tok in enumerate(row):
-            counts[i][tok] = counts[i].get(tok, 0) + 1
     maps = []
-    for c in counts:
-        kept = sorted(
-            (tok for tok, n in c.items() if n >= min_freq),
-            key=lambda t: (-c[t], t),
-        )
-        maps.append({tok: j + 1 for j, tok in enumerate(kept)})
+    for col in columns:
+        counts = Counter(col)
+        kept = sorted(tok for tok, n in counts.items() if n >= min_freq)
+        kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in token order
+        maps.append({tok: j for j, tok in enumerate(kept, start=1)})
     return Vocabulary(maps=maps)
 
 
-def encode(schema, labels, rows, vocab):
-    n_fields = len(schema)
-    indices = np.zeros((len(rows), n_fields), dtype=np.int32)
-    for r, row in enumerate(rows):
-        for i, tok in enumerate(row):
-            if schema[i].kind == "numeric-to-bucket":
-                tok = bucketize_numeric(tok)
-            indices[r, i] = vocab.encode_token(i, tok)
+def encode(schema, labels, columns, vocab):
+    indices = np.zeros((len(labels), len(schema)), dtype=np.int32)
+    for i, (col, index) in enumerate(zip(columns, vocab.maps)):
+        indices[:, i] = np.fromiter(map(index.get, col, repeat(0)), np.int32, len(col))
     return Dataset(
         schema=schema,
         indices=indices,
@@ -225,7 +215,6 @@ def generate_synthetic(n_fields, n_informative, vocab_size, n_rows, seed):
         labels=labels,
         vocab_sizes=[vocab_size] * n_fields,
         bayes_scores=p,
-        informative_fields=list(range(n_informative)),
     )
 
 

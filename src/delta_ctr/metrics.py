@@ -6,9 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import bce_loss
-from .numerics import Tensor
-
 
 class MetricError(ValueError):
     pass
@@ -34,23 +31,21 @@ def auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: need both a positive and a negative label")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
     ranks = np.empty(len(scores))
-    # average ranks over tied groups
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)  # 1-based mean rank of each tie group
     rank_sum_pos = ranks[labels == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def logloss(scores, labels):
-    """Binary cross-entropy; same clipped formula as the training loss."""
-    return float(bce_loss(Tensor(np.asarray(scores, dtype=np.float64)), labels).value)
+    """Binary cross-entropy; the training loss's clipped formula, evaluated
+    in the same order so the two agree bit for bit."""
+    y = np.asarray(labels, dtype=np.float64)
+    if y.size == 0:
+        raise MetricError("logloss undefined: no instances")
+    p = np.clip(np.asarray(scores, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    return float((y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean() * -1.0)
 
 
 def evaluate_scores(scores, labels):

@@ -222,7 +222,8 @@ def relu(a):
 def sigmoid(a):
     a = as_tensor(a)
     x = a.value
-    out_val = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     # keep the output strictly inside (0,1) even where float64 saturates
     out_val = np.clip(out_val, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     return Tensor(out_val, (a,), lambda g: _accum(a, g * out_val * (1.0 - out_val)))

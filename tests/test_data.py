@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import struct
 
@@ -29,28 +31,58 @@ TOY_ROWS = [
 ]
 
 
+def rowwise_prep(path, min_freq=1):
+    """Per-row oracle: parse the rows with csv, count every token with one
+    dict update, order by count descending then token, and encode one cell
+    at a time. Returns (labels, vocabulary maps, index matrix)."""
+    text = path.read_text()
+    delim = "\t" if "\t" in text.split("\n", 1)[0] else ","
+    header, *rows = [r for r in csv.reader(io.StringIO(text), delimiter=delim) if r]
+    li = header.index("label")
+    labels = [int(r[li]) for r in rows]
+    rows = [[tok for i, tok in enumerate(r) if i != li] for r in rows]
+    n_fields = len(header) - 1
+    counts = [dict() for _ in range(n_fields)]
+    for row in rows:
+        for i, tok in enumerate(row):
+            counts[i][tok] = counts[i].get(tok, 0) + 1
+    maps = []
+    for c in counts:
+        kept = sorted((t for t, n in c.items() if n >= min_freq), key=lambda t: (-c[t], t))
+        maps.append({t: j + 1 for j, t in enumerate(kept)})
+    indices = np.zeros((len(rows), n_fields), dtype=np.int32)
+    for r, row in enumerate(rows):
+        for i, tok in enumerate(row):
+            indices[r, i] = maps[i].get(tok, 0)
+    return labels, maps, indices
+
+
 class TestBuildVocab:
     def test_threshold(self):
-        rows = [["a"]] * 5 + [["b"]] * 3 + [["c"]]
-        v = data_mod.build_vocab(rows, 1, min_freq=2)
+        col = ("a",) * 5 + ("b",) * 3 + ("c",)
+        v = data_mod.build_vocab([col], min_freq=2)
         assert v.maps[0] == {"a": 1, "b": 2}
-        assert v.encode_token(0, "c") == 0  # folds to OOV
+        d = data_mod.encode([data_mod.FieldSchema("f")], [0] * len(col), [col], v)
+        assert d.indices[-1, 0] == 0  # "c" folds to OOV
 
     def test_min_freq_one_keeps_all(self):
-        rows = [["a"], ["b"], ["c"]]
-        v = data_mod.build_vocab(rows, 1, min_freq=1)
+        v = data_mod.build_vocab([("a", "b", "c")], min_freq=1)
         assert set(v.maps[0]) == {"a", "b", "c"}
 
     def test_deterministic(self):
-        rows = [["b"], ["a"], ["b"], ["a"], ["c"]]
-        v1 = data_mod.build_vocab(rows, 1)
-        v2 = data_mod.build_vocab(rows, 1)
-        assert v1.maps == v2.maps
+        cols = [("b", "a", "b", "a", "c"), ("z", "y", "z", "x", "z")]
+        v1 = data_mod.build_vocab(cols)
+        v2 = data_mod.build_vocab([tuple(reversed(c)) for c in cols])
+        assert v1.maps == v2.maps  # independent of row order
+        assert v1.maps[1] == {"z": 1, "x": 2, "y": 3}
 
     def test_frequency_then_lexicographic_order(self):
-        rows = [["b"], ["b"], ["a"], ["a"], ["c"]]
-        v = data_mod.build_vocab(rows, 1)
+        v = data_mod.build_vocab([("b", "b", "a", "a", "c")])
         assert v.maps[0] == {"a": 1, "b": 2, "c": 3}
+
+    def test_bad_min_freq(self):
+        with pytest.raises(DataError, match="min_freq"):
+            data_mod.build_vocab([("a",)], min_freq=0)
 
 
 class TestBucketize:
@@ -156,19 +188,24 @@ class TestRawIO:
     def test_read_and_encode_stable(self, tmp_path):
         p = tmp_path / "toy.csv"
         write_toy(p, TOY_ROWS)
-        schema, labels, rows = data_mod.read_raw(p)
+        schema, labels, columns = data_mod.read_raw(p)
         assert [f.name for f in schema] == ["color", "brand"]
-        vocab = data_mod.build_vocab(rows, len(schema))
-        d1 = data_mod.encode(schema, labels, rows, vocab)
-        d2 = data_mod.encode(schema, labels, rows, vocab)
+        assert labels == [r[0] for r in TOY_ROWS]
+        assert columns == [tuple(r[1] for r in TOY_ROWS), tuple(r[2] for r in TOY_ROWS)]
+        vocab = data_mod.build_vocab(columns)
+        assert vocab.maps == [{"red": 1, "blue": 2, "green": 3}, {"acme": 1, "bolt": 2}]
+        d1 = data_mod.encode(schema, labels, columns, vocab)
+        d2 = data_mod.encode(schema, labels, columns, vocab)
         assert np.array_equal(d1.indices, d2.indices)
+        assert d1.indices[:3].tolist() == [[1, 1], [1, 2], [2, 1]]
         assert d1.indices.max() < max(vocab.sizes)
 
     def test_tab_autodetect(self, tmp_path):
         p = tmp_path / "toy.tsv"
         write_toy(p, TOY_ROWS, delim="\t")
-        schema, labels, rows = data_mod.read_raw(p)
+        schema, labels, columns = data_mod.read_raw(p)
         assert len(labels) == 10
+        assert [len(c) for c in columns] == [10, 10]
 
     def test_bad_row_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -181,6 +218,35 @@ class TestRawIO:
         p.write_text("label,color\n2,red\n")
         with pytest.raises(DataError, match="label"):
             data_mod.read_raw(p)
+
+
+PREP_CASES = {
+    # three tokens with two occurrences each, so order falls to the token
+    "count_ties": "label,a,b\n1,y,q\n0,x,q\n1,z,p\n0,y,p\n1,x,r\n0,z,r\n1,w,q\n",
+    "under_min_freq": "label,a\n1,a\n0,a\n1,b\n0,c\n1,c\n0,d\n",
+    "empty_cells": "label,a,b\n1,,x\n0,,\n1,v,\n0,v,x\n",
+    "quoted_delimiter": 'label,a,b\n1,"x,y",p\n0,x,"p"\n1,"x,y",q\n',
+    "blank_line": "label,a\n1,x\n\n0,y\n1,x\n",
+    "tsv": "a\tlabel\tb\nx y\t1\tp,q\nx\t0\tp,q\nx y\t1\tp\n",
+    "header_only": "label,a,b\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREP_CASES))
+@pytest.mark.parametrize("min_freq", [1, 2])
+def test_columnar_prep_equals_rowwise_oracle(tmp_path, case, min_freq):
+    p = tmp_path / "raw.txt"
+    p.write_text(PREP_CASES[case])
+    want_labels, want_maps, want = rowwise_prep(p, min_freq)
+    schema, labels, columns = data_mod.read_raw(p)
+    assert labels == want_labels
+    vocab = data_mod.build_vocab(columns, min_freq)
+    assert vocab.maps == want_maps
+    assert [list(m) for m in vocab.maps] == [list(m) for m in want_maps]  # same .vocab.json order
+    d = data_mod.encode(schema, labels, columns, vocab)
+    assert d.indices.dtype == np.int32
+    assert np.array_equal(d.indices, want)
+    assert d.labels.tolist() == labels
 
 
 class TestCache:

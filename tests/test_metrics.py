@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta_ctr import metrics
+from delta_ctr import metrics, model
 from delta_ctr.metrics import MetricError
-from delta_ctr.numerics import Rng
+from delta_ctr.numerics import Rng, Tensor
 
 
 def auc_bruteforce(scores, labels):
@@ -93,6 +93,21 @@ class TestLogloss:
 
     def test_nonnegative(self):
         assert metrics.logloss([0.5, 0.5], [1, 0]) >= 0
+
+    def test_bit_equal_to_training_loss(self):
+        r = Rng(8)
+        edge = np.array([0.0, 1.0, 1e-9, 1e-7, 1e-7 * (1 + 1e-9), 1.0 - 1e-7, 1.0 - 1e-9, 0.5])
+        for n in (1, 7, 64, 1000):
+            # sigmoid outputs, like the model's: unlike uniform draws, 1 - s is not exact
+            s = np.concatenate([edge, 1.0 / (1.0 + np.exp(-3.0 * r.normal((n,))))])
+            y = r.integers(0, 2, (len(s),))
+            want = model.bce_loss(Tensor(s), y).value
+            assert metrics.logloss(s, y) == float(want)
+            assert metrics.logloss(s, y.astype(np.uint8)) == float(want)
+
+    def test_empty_rejected(self):
+        with pytest.raises(MetricError):
+            metrics.logloss([], [])
 
 
 def test_evaluate_scores_bundle():
