@@ -110,8 +110,16 @@ def _train_settings(cfg):
 
 
 def _load_splits(cache_path):
+    """Train, validation and test splits of a cache; training needs the first two."""
     d, splits = data_mod.load_cache(cache_path)
-    return d.subset(splits == 0), d.subset(splits == 1), d.subset(splits == 2)
+    parts = d.subset(splits == 0), d.subset(splits == 1), d.subset(splits == 2)
+    for name, part in zip(("train", "validation"), parts):
+        if len(part) == 0:
+            raise data_mod.DataError(
+                f"{cache_path}: the {name} split is empty ({len(d)} rows in the cache); "
+                "a cache of 10 or more rows has every split"
+            )
+    return parts
 
 
 def cmd_prep(args):
@@ -150,7 +158,11 @@ def cmd_train(args):
 
 def cmd_eval(args):
     d, splits = data_mod.load_cache(args.data)
-    ds = d.subset(splits == 2) if (splits == 2).any() else d
+    if (splits == 2).any():
+        ds = d.subset(splits == 2)
+    else:
+        ds = d
+        print(f"note: {args.data} has no test split; evaluating all {len(d)} rows", file=sys.stderr)
     params, extra = model_mod.load_checkpoint(args.checkpoint, ds.vocab_sizes)
     res = trainer_mod.evaluate(params, ds, extra.get("k", ds.n_fields))
     print(f"AUC: {res.auc:.6f}")

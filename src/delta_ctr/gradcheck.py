@@ -76,6 +76,18 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     _check("transpose_last", lambda: nm.tsum(nm.mul(nm.transpose_last(a), b.value[:, :1] @ np.ones((1, 3)))), [a], tol, results)
     w = Tensor(nm.softmax_rows(Tensor(rng.normal((4, 4)) * 2)).value)
     _check("topk_truncate", lambda: nm.tsum(nm.mul(nm.topk_truncate(w, 2)[0], np.arange(16.0).reshape(4, 4))), [w], tol, results)
+    # the bias moves the one preactivation near the relu kink (0.014) to 0.51
+    bias = Tensor([0.5, 0.0])
+    _check("dense", lambda: nm.tsum(nm.mul(nm.dense(a, b, bias), c.value)), [a, b, bias], tol, results)
+    emb = Tensor(rng.normal((2, 4, 3)))
+    heads = [Tensor(rng.normal((3, 3))) for _ in range(3)]
+    weights = rng_fixed_weights((2, 12))
+    for label, k, scope in (("ctm_head", 2, "row"), ("ctm_head/global", 1, "global"), ("ctm_head/k=n", 4, "row")):
+        _check(label, lambda k=k, scope=scope: nm.tsum(nm.mul(nm.ctm_head(emb, *heads, k, scope)[0], weights)), [emb] + heads, tol, results)
+    gate = Tensor(rng.normal((4,)))
+    _check("gate_mix", lambda: nm.tsum(nm.mul(nm.gate_mix(a, nm.mul(a, a), gate), rng_fixed_weights(a.shape))), [a, gate], tol, results)
+    probs = Tensor(rng.random((6,)) * 0.8 + 0.1)
+    _check("bce", lambda: nm.bce(probs, [1, 0, 0, 1, 1, 0]), [probs], tol, results)
     return results
 
 

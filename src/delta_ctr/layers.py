@@ -106,23 +106,17 @@ def ctm_forward(emb_batch, head, k, scope="row"):
     emb_batch: Tensor (B, n, d). Computes scaled dot-product attention,
     keeps the top-k weights per query row (surviving weights are NOT
     renormalized), aggregates values, and flattens to enhanced embeddings
-    of shape (B, n*d). Returns (enhanced, AttentionState).
+    of shape (B, n*d), all in the one node ``numerics.ctm_head``. Returns
+    (enhanced, AttentionState).
     """
-    b, n, d = emb_batch.shape
-    if not 1 <= k <= n:
-        raise ParameterError(f"bottleneck k={k} outside [1, {n}]")
-    w = attention_weights(emb_batch, head)
-    theta, mask = topk_truncate(w, k, scope=scope)
-    v = nm.matmul(emb_batch, head.w_v)
-    out = nm.reshape(nm.matmul(theta, v), (b, n * d))
-    state = AttentionState(weights=w.value, truncated=theta.value, kept_mask=mask, k=k)
-    return out, state
+    out, w, theta, mask = nm.ctm_head(emb_batch, head.w_q, head.w_k, head.w_v, k, scope)
+    return out, AttentionState(weights=w, truncated=theta, kept_mask=mask, k=k)
 
 
 def soft_attention_forward(emb_batch, head):
-    """Plain soft attention, coded independently of the truncation path
-    (no top-k machinery at all); the CTM-with-k=n equivalence check and the
-    soft-attention ablation run through here."""
+    """Plain soft attention composed from the small primitives, coded
+    independently of the fused head (no top-k machinery at all): the oracle
+    that ``ctm_forward`` at k=n is checked against."""
     b, n, d = emb_batch.shape
     w = attention_weights(emb_batch, head)
     v = nm.matmul(emb_batch, head.w_v)
@@ -159,6 +153,4 @@ def efg_fuse(e_flat, enhanced, gate):
         raise DimensionError(
             f"efg_fuse: lengths differ {e_flat.shape} / {enhanced.shape} / {gate.shape}"
         )
-    g = nm.sigmoid(gate)
-    one_minus = nm.sub(1.0, g)
-    return nm.add(nm.mul(g, e_flat), nm.mul(one_minus, enhanced))
+    return nm.gate_mix(e_flat, enhanced, gate)

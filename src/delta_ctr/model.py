@@ -109,7 +109,7 @@ class Mlp:
 
     def forward(self, x, dropout_rate, rng, training):
         for i, (w, b) in enumerate(self.layers):
-            x = nm.relu(nm.add(nm.matmul(x, w), b))
+            x = nm.dense(x, w, b)
             if dropout_rate > 0:
                 x = nm.dropout(x, dropout_rate, rng.split(("drop", i)), training)
         return x
@@ -235,27 +235,31 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     indices: (B, n_fields) int array. In train mode dropout is active and
     the auxiliary branch is evaluated (unless lambda is 0, in which case the
     branch is skipped entirely and contributes nothing to the graph). In
-    infer mode the auxiliary branch and dropout are never evaluated.
+    infer mode the auxiliary branch and dropout are never evaluated, and no
+    graph is built.
     """
-    cfg = params.config
-    spec = VARIANTS[cfg.variant]
     training = mode == "train"
     if training and rng is None:
         raise ParameterError("train mode requires an rng")
-    if rng is None:
-        rng = Rng(0)
+    if training:
+        return _forward(indices, params, k, True, rng)
+    with nm.no_grad():
+        return _forward(indices, params, k, False, Rng(0) if rng is None else rng)
+
+
+def _forward(indices, params, k, training, rng):
+    cfg = params.config
+    spec = VARIANTS[cfg.variant]
     b = indices.shape[0]
     emb = layers_mod.embed_lookup(params.embedding, indices)  # (B, n, d)
     e_flat = nm.reshape(emb, (b, cfg.flat_dim))
 
     state1 = state2 = None
     if spec.attention:
-        if spec.attention == "soft":
-            enh1, state1 = layers_mod.soft_attention_forward(emb, params.head1)
-            enh2, state2 = layers_mod.soft_attention_forward(emb, params.head2)
-        else:
-            enh1, state1 = layers_mod.ctm_forward(emb, params.head1, k, cfg.truncation_scope)
-            enh2, state2 = layers_mod.ctm_forward(emb, params.head2, k, cfg.truncation_scope)
+        if spec.attention == "soft":  # k=n keeps every weight and selects nothing
+            k = cfg.n_fields
+        enh1, state1 = layers_mod.ctm_forward(emb, params.head1, k, cfg.truncation_scope)
+        enh2, state2 = layers_mod.ctm_forward(emb, params.head2, k, cfg.truncation_scope)
         if spec.gate:
             x1 = layers_mod.efg_fuse(e_flat, enh1, params.gate1)
             x2 = layers_mod.efg_fuse(e_flat, enh2, params.gate2)
@@ -289,13 +293,7 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
 def bce_loss(y_hat, labels):
     """Mean binary cross-entropy with probabilities clipped to
     [1e-7, 1 - 1e-7]."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ParameterError("empty batch")
-    p = nm.clip(y_hat, 1e-7, 1.0 - 1e-7)
-    pos = nm.mul(labels, nm.log(p))
-    neg = nm.mul(1.0 - labels, nm.log(nm.sub(1.0, p)))
-    return nm.scale(nm.tmean(nm.add(pos, neg)), -1.0)
+    return nm.bce(y_hat, labels)
 
 
 def total_loss(l_main, l_eeo, lam):

@@ -1,10 +1,16 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-Every differentiable layer in the model is composed from the primitives
+Every differentiable layer in the model is built from the primitives
 registered here. The graph is built eagerly: each op returns a Tensor that
 remembers its parents and a closure that routes the incoming gradient to
 them. Calling ``backward()`` on a scalar output walks the graph in reverse
 topological order.
+
+The model's hot layers are fused primitives (``dense``, ``ctm_head``,
+``gate_mix``, ``bce``): one node each, with a hand-written backward that
+keeps only the arrays it reads. The small primitives they replace stay as
+the oracles the fused ones are tested against. Inside ``no_grad()`` every
+primitive computes its value only and records no graph.
 
 Only the registered primitives may appear in a graph; there is no general
 tape for arbitrary user code.
@@ -12,7 +18,10 @@ tape for arbitrary user code.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
+import math
 
 import numpy as np
 
@@ -48,7 +57,27 @@ PRIMITIVES = [
     "gather",
     "transpose_last",
     "topk_truncate",
+    "dense",
+    "ctm_head",
+    "gate_mix",
+    "bce",
 ]
+
+# False inside no_grad(): primitives then return Tensors with no parents
+# and no backward closure
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph in this block: the Tensors primitives return keep no
+    parents and no closure, so each intermediate array is freed as soon as
+    the next op has read it."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 class Rng:
@@ -93,6 +122,8 @@ class Tensor:
     def __init__(self, value, parents=(), backward=None, requires_grad=True, name=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
+        if not _recording.get():
+            parents, backward = (), None
         self._parents = tuple(parents)
         self._backward = backward
         self.requires_grad = requires_grad
@@ -142,8 +173,10 @@ def _accum(node, g):
     if not node.requires_grad:
         return
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = np.empty_like(node.value)
+        node.grad[...] = g
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -219,13 +252,16 @@ def relu(a):
     return Tensor(np.where(mask, a.value, 0.0), (a,), lambda g: _accum(a, g * mask))
 
 
+def _logistic(x):
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # keep the output strictly inside (0,1) even where float64 saturates
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
 def sigmoid(a):
     a = as_tensor(a)
-    x = a.value
-    e = np.exp(-np.abs(x))
-    out_val = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    # keep the output strictly inside (0,1) even where float64 saturates
-    out_val = np.clip(out_val, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    out_val = _logistic(a.value)
     return Tensor(out_val, (a,), lambda g: _accum(a, g * out_val * (1.0 - out_val)))
 
 
@@ -372,6 +408,129 @@ def topk_truncate(w, k):
         return Tensor(w.value, (w,), lambda g: _accum(w, g)), mask
     out = Tensor(np.where(mask, w.value, 0.0), (w,), lambda g: _accum(w, g * mask))
     return out, mask
+
+
+def dense(x, w, b):
+    """relu(x @ w + b) as one node. Backward keeps x, w and the output,
+    whose positive entries are the ones the ReLU passed."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.value.shape[-1] != w.value.shape[-2]:
+        raise DimensionError(f"dense: inner dims differ, {x.shape} x {w.shape}")
+    out_val = np.matmul(x.value, w.value)
+    out_val += b.value
+    np.copyto(out_val, 0.0, where=~(out_val > 0))  # gradient is 0 at exactly 0
+
+    def backward(g):
+        g = g * (out_val > 0)
+        _accum(b, _unbroadcast(g, b.value.shape))
+        if x.requires_grad:
+            _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.value.shape))
+        if w.requires_grad:
+            _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.value, -1, -2), g), w.value.shape))
+
+    return Tensor(out_val, (x, w, b), backward)
+
+
+def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
+    """One truncated attention head over emb (B, n, d) as one node.
+
+    Computes w = softmax(Q K^T / sqrt(d)) with Q, K, V = emb @ w_q, w_k,
+    w_v; keeps the top-k weights of each row (scope="row") or the k*n
+    largest of each whole matrix (scope="global", ties toward the lower
+    flat index) without renormalizing; aggregates theta @ V and flattens
+    to (B, n*d). At k=n every weight is kept and nothing is selected.
+
+    Returns (output Tensor, weights, truncated weights, kept mask). The
+    mask is constant in backward: gradient flows through kept weights only.
+    """
+    emb, w_q, w_k, w_v = as_tensor(emb), as_tensor(w_q), as_tensor(w_k), as_tensor(w_v)
+    x = emb.value
+    b, n, d = x.shape
+    if not 1 <= k <= n:
+        raise ParameterError(f"bottleneck k={k} outside [1, {n}]")
+    if scope not in ("row", "global"):
+        raise ParameterError(f"unknown truncation scope {scope!r}")
+    c = 1.0 / math.sqrt(d)
+    q = np.matmul(x, w_q.value)
+    key = np.matmul(x, w_k.value)
+    w = np.matmul(q, np.swapaxes(key, -1, -2))
+    w *= c
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    if scope == "row":
+        mask = topk_mask(w, k)
+    else:
+        mask = topk_mask(w.reshape(b, n * n), k * n).reshape(w.shape)
+    theta = w if k == n else np.where(mask, w, 0.0)
+    v = np.matmul(x, w_v.value)
+    out_val = np.matmul(theta, v).reshape(b, n * d)
+
+    # The products below, the batched weight-gradient matmuls summed by
+    # _unbroadcast and the q, k, v order of the sums into emb are those of
+    # the composed graph (attention_weights, topk_truncate, matmul), so the
+    # gradients equal its bit for bit; a 2D GEMM for the weight gradients,
+    # or another order, moves the low bits.
+    def project_back(g, weight):
+        # the gradient of one projection emb @ weight, given its output's
+        # gradient g, which reaches the products C-contiguous as it did there
+        g = np.ascontiguousarray(g)
+        if emb.requires_grad:
+            _accum(emb, np.matmul(g, np.swapaxes(weight.value, -1, -2)))
+        if weight.requires_grad:
+            _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape))
+
+    def backward(g):
+        g = g.reshape(b, n, d)
+        g_w = np.matmul(g, np.swapaxes(v, -1, -2))
+        g_v = np.matmul(np.swapaxes(theta, -1, -2), g)
+        if k < n:
+            g_w *= mask
+        g_w -= (g_w * w).sum(axis=-1, keepdims=True)
+        g_w *= w
+        g_w *= c  # now the gradient of the scores Q K^T
+        project_back(np.matmul(g_w, key), w_q)
+        project_back(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_w), -1, -2), w_k)
+        project_back(g_v, w_v)
+
+    return Tensor(out_val, (emb, w_q, w_k, w_v), backward), w, theta, mask
+
+
+def gate_mix(e, enhanced, gate):
+    """sigma(gate) * e + (1 - sigma(gate)) * enhanced, elementwise, as one node."""
+    e, enhanced, gate = as_tensor(e), as_tensor(enhanced), as_tensor(gate)
+    s = _logistic(gate.value)
+    one_minus = 1.0 - s
+    out_val = s * e.value + one_minus * enhanced.value
+
+    def backward(g):
+        _accum(e, g * s)
+        _accum(enhanced, g * one_minus)
+        g_s = _unbroadcast(g * e.value, s.shape) - _unbroadcast(g * enhanced.value, s.shape)
+        _accum(gate, g_s * s * one_minus)
+
+    return Tensor(out_val, (e, enhanced, gate), backward)
+
+
+def bce(y, labels):
+    """Mean binary cross-entropy of probabilities y against 0/1 labels, as
+    one node; y is clipped to [1e-7, 1 - 1e-7] and gets no gradient where
+    the clip is active."""
+    y = as_tensor(y)
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
+        raise ParameterError("empty batch")
+    p = np.clip(y.value, 1e-7, 1.0 - 1e-7)
+    off = 1.0 - labels
+    one_minus = 1.0 - p
+    out_val = (labels * np.log(p) + off * np.log(one_minus)).mean() * -1.0
+
+    def backward(g):
+        g = (g * -1.0) / p.size
+        g_p = (g * labels) / p - (g * off) / one_minus
+        _accum(y, g_p * ((y.value > 1e-7) & (y.value < 1.0 - 1e-7)))
+
+    return Tensor(out_val, (y,), backward)
 
 
 def grad_of(f, params):

@@ -122,6 +122,20 @@ class TestTrain:
         assert rc == 1
         assert "colum" in capsys.readouterr().err
 
+    def test_empty_validation_split_exit_1(self, config_file, tmp_path, capsys):
+        raw = tmp_path / "five.csv"
+        raw.write_text("label,a\n" + "".join(f"{i % 2},t{i % 3}\n" for i in range(5)))
+        cache = tmp_path / "five.bin"
+        assert cli.main(["prep", "--input", str(raw), "--output", str(cache)]) == 0
+        assert "instances: 5 (train 5 / val 0 / test 0)" in capsys.readouterr().out
+        cfg = json.loads(config_file.read_text())
+        cfg["data"]["cache"] = str(cache)
+        p = tmp_path / "five.json"
+        p.write_text(json.dumps(cfg))
+        rc = cli.main(["train", "--config", str(p)])
+        assert rc == 1
+        assert "validation split is empty" in capsys.readouterr().err
+
     def test_lambda_default_half(self):
         assert cli.CONFIG_DEFAULTS["model"]["lambda"] == 0.5
         assert cli.CONFIG_DEFAULTS["trainer"]["batch_size"] == 4096
@@ -136,6 +150,21 @@ class TestEval:
         out = capsys.readouterr().out
         assert rc == 0
         assert "AUC: " in out and "logloss: " in out
+
+    def test_no_test_split_evaluates_all_rows_and_says_so(self, config_file, prepped, tmp_path, capsys):
+        cli.main(["train", "--config", str(config_file)])
+        d, _ = data_mod.load_cache(prepped)
+        whole = tmp_path / "whole.bin"
+        data_mod.save_cache(whole, d)  # every row tagged train
+        capsys.readouterr()
+        args = ["eval", "--checkpoint", str(tmp_path / "run.ckpt")]
+        assert cli.main(args + ["--data", str(whole)]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"note: {whole} has no test split; evaluating all 60 rows\n"
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("AUC: ") and lines[1].startswith("logloss: ")
+        assert cli.main(args + ["--data", str(prepped)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_schema_mismatch(self, config_file, tmp_path, capsys):
         cli.main(["train", "--config", str(config_file)])

@@ -49,6 +49,28 @@ class TestDeltaForward:
         b = model_mod.delta_forward(idx, params, k=2, mode="infer")
         assert np.array_equal(a.y_main.value, b.y_main.value)
 
+    @pytest.mark.parametrize("variant", list(model_mod.VARIANTS))
+    def test_infer_builds_no_graph(self, variant, monkeypatch):
+        made = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                made.append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            return wrapper
+
+        for name in nm.PRIMITIVES + ["scale"]:
+            monkeypatch.setattr(nm, name, recording(getattr(nm, name)))
+        idx, _ = make_batch()
+        params = ModelParams.init(tiny_config(variant=variant), VOCABS, seed=2)
+        model_mod.delta_forward(idx, params, k=2, mode="infer")
+        assert made and all(t._parents == () and t._backward is None for t in made)
+        made.clear()
+        model_mod.delta_forward(idx, params, k=2, mode="train", rng=Rng(0))
+        assert all(t._backward is not None for t in made)
+
     def test_infer_never_evaluates_eeo(self):
         idx, _ = make_batch()
         params = ModelParams.init(tiny_config(), VOCABS, seed=2)

@@ -299,3 +299,181 @@ def test_softmax_rows_matches_three_temporary_formula(x):
     before = x.copy()
     assert nm.softmax_rows(Tensor(x)).value.tobytes() == expected.tobytes()
     assert x.tobytes() == before.tobytes()  # the input is not overwritten
+
+
+# -- fused primitives against the composed primitives they replace --
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def composed_head(emb, head, k, scope):
+    b, n, d = emb.shape
+    w = layers_mod.attention_weights(emb, head)
+    theta, mask = layers_mod.topk_truncate(w, k, scope)
+    out = nm.reshape(nm.matmul(theta, nm.matmul(emb, head.w_v)), (b, n * d))
+    return out, w.value, theta.value, mask
+
+
+def fused_head(emb, head, k, scope):
+    return nm.ctm_head(emb, head.w_q, head.w_k, head.w_v, k, scope)
+
+
+def compare_heads(emb, head, k, scope, reference=composed_head):
+    """Fused and reference heads agree bit for bit in value, weights, mask
+    and every gradient."""
+    params = [emb, head.w_q, head.w_k, head.w_v]
+    upstream = np.arange(emb.value[0].size, dtype=np.float64).reshape(1, -1) / 7.0 - 1.0
+    got = fused_head(emb, head, k, scope)
+    want = reference(emb, head, k, scope)
+    for a, b in zip(got[:3], want[:3]):
+        assert_same_bits(a if isinstance(a, np.ndarray) else a.value,
+                         b if isinstance(b, np.ndarray) else b.value)
+    assert np.array_equal(got[3], want[3])
+    g_got = nm.grad_of(lambda: nm.tsum(nm.mul(fused_head(emb, head, k, scope)[0], upstream)), params)
+    g_want = nm.grad_of(lambda: nm.tsum(nm.mul(reference(emb, head, k, scope)[0], upstream)), params)
+    for a, b in zip(g_got, g_want):
+        assert_same_bits(a, b)
+    return got
+
+
+class TestCtmHead:
+    @pytest.mark.parametrize("scope", ["row", "global"])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_bitwise_equal_to_composed_primitives(self, k, scope):
+        rng = Rng(20 + k)
+        emb = Tensor(rng.normal((5, 6, 3)))
+        head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
+        _, _, theta, mask = compare_heads(emb, head, k, scope)
+        if scope == "row":
+            assert np.all(mask.sum(axis=-1) == k)
+        else:
+            assert np.all(mask.sum(axis=(-2, -1)) == k * 6)
+        assert np.all(theta[~mask] == 0)
+
+    @pytest.mark.parametrize("scope", ["row", "global"])
+    def test_k_equals_n_bitwise_equal_to_soft_attention(self, scope):
+        rng = Rng(30)
+        emb = Tensor(rng.normal((4, 5, 3)))
+        head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
+
+        def soft(emb, head, k, scope):
+            out, state = layers_mod.soft_attention_forward(emb, head)
+            return out, state.weights, state.truncated, state.kept_mask
+
+        _, w, theta, mask = compare_heads(emb, head, 5, scope, reference=soft)
+        assert mask.all() and theta is w
+
+    def test_unknown_scope(self):
+        w = Tensor(np.eye(2))
+        with pytest.raises(ParameterError, match="colum"):
+            nm.ctm_head(Tensor(np.zeros((1, 3, 2))), w, w, w, 2, scope="colum")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_tied_and_nan_weights_match_composed_and_stable_sort(self, data):
+        # few distinct entries give tied scores; zero projections give
+        # all-equal rows; a NaN entry turns every weight of its instance NaN
+        b, n, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        entries = st.sampled_from([0.0, 0.5, 1.0, -1.0])
+        x = data.draw(hnp.arrays(np.float64, (b, n, d), elements=entries))
+        if data.draw(st.booleans()):
+            x[data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, n - 1)), 0] = np.nan
+        mats = [data.draw(hnp.arrays(np.float64, (d, d), elements=entries)) for _ in range(3)]
+        if data.draw(st.booleans()):
+            mats[0][:] = 0.0
+        head = layers_mod.CtmHeadParams(*(Tensor(m) for m in mats))
+        k = data.draw(st.integers(1, n))
+        scope = data.draw(st.sampled_from(["row", "global"]))
+        _, w, theta, mask = compare_heads(Tensor(x), head, k, scope)
+        flat = w.reshape(b, n * n) if scope == "global" else w
+        want = topk_oracle(flat, k * n if scope == "global" else k)
+        assert np.array_equal(mask, want.reshape(w.shape))
+        assert_same_bits(theta, np.where(mask, w, 0.0))
+
+
+class TestDense:
+    def test_bitwise_equal_to_composed_primitives(self):
+        rng = Rng(40)
+        x, w, b = Tensor(rng.normal((6, 5))), Tensor(rng.normal((5, 4))), Tensor(rng.normal((4,)))
+        x.value[0, :] = 0.0  # preactivations of exactly the bias, one of them 0 below
+        b.value[1] = 0.0
+        upstream = rng.normal((6, 4))
+
+        def composed():
+            return nm.relu(nm.add(nm.matmul(x, w), b))
+
+        assert_same_bits(nm.dense(x, w, b).value, composed().value)
+        assert nm.dense(x, w, b).value[0, 1] == 0.0
+        for a, c in zip(nm.grad_of(lambda: nm.tsum(nm.mul(nm.dense(x, w, b), upstream)), [x, w, b]),
+                        nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), [x, w, b])):
+            assert_same_bits(a, c)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            nm.dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+
+
+class TestGateMix:
+    def test_bitwise_equal_to_composed_primitives(self):
+        rng = Rng(41)
+        e, enh = Tensor(rng.normal((3, 6))), Tensor(rng.normal((3, 6)))
+        gate = Tensor(np.array([0.0, 1.5, -2.0, 40.0, -40.0, 0.3]))  # both saturations
+        upstream = rng.normal((3, 6))
+
+        def composed():
+            s = nm.sigmoid(gate)
+            return nm.add(nm.mul(s, e), nm.mul(nm.sub(1.0, s), enh))
+
+        assert_same_bits(nm.gate_mix(e, enh, gate).value, composed().value)
+        params = [e, enh, gate]
+        for a, c in zip(nm.grad_of(lambda: nm.tsum(nm.mul(nm.gate_mix(e, enh, gate), upstream)), params),
+                        nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), params)):
+            assert_same_bits(a, c)
+
+
+class TestBce:
+    # 0 and 1 sit in the clip; 1e-7 and 1 - 1e-7 sit on its edges, where
+    # the gradient is 0 too; the next two sit just inside it
+    EDGES = np.array([0.0, 1.0, 1e-7, 1.0 - 1e-7, 1e-7 * (1 + 1e-9), 1.0 - 1e-7 * (1 + 1e-6), 0.5, 0.25])
+
+    @staticmethod
+    def composed(y, labels):
+        labels = np.asarray(labels, dtype=np.float64)
+        p = nm.clip(y, 1e-7, 1.0 - 1e-7)
+        pos = nm.mul(labels, nm.log(p))
+        neg = nm.mul(1.0 - labels, nm.log(nm.sub(1.0, p)))
+        return nm.scale(nm.tmean(nm.add(pos, neg)), -1.0)
+
+    @pytest.mark.parametrize("labels", [[1, 0, 1, 0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1, 0, 1]])
+    def test_bitwise_equal_to_composed_primitives_at_the_clip(self, labels):
+        y = Tensor(self.EDGES.copy())
+        assert nm.bce(y, labels).value.tobytes() == self.composed(y, labels).value.tobytes()
+        got = nm.grad_of(lambda: nm.bce(y, labels), [y])[0]
+        assert_same_bits(got, nm.grad_of(lambda: self.composed(y, labels), [y])[0])
+        assert np.all(got[:4] == 0) and np.all(got[4:] != 0)
+
+    def test_exact_values_at_zero_and_one(self):
+        # a confident wrong answer costs -log(1e-7), a confident right one -log(1 - 1e-7)
+        wrong, right = -np.log(1.0 - (1.0 - 1e-7)), -np.log(1.0 - 1e-7)
+        assert nm.bce(Tensor([0.0]), [1]).value == -np.log(1e-7)
+        assert nm.bce(Tensor([1.0]), [0]).value == wrong
+        assert nm.bce(Tensor([0.0]), [0]).value == right
+        assert nm.bce(Tensor([1.0]), [1]).value == right
+
+    def test_empty_batch(self):
+        with pytest.raises(ParameterError):
+            nm.bce(Tensor(np.zeros(0)), [])
+
+
+class TestNoGrad:
+    def test_primitives_record_nothing_and_recording_resumes(self):
+        x = Tensor(Rng(50).normal((2, 3, 2)))
+        eye = Tensor(np.eye(2))
+        with pytest.raises(RuntimeError), nm.no_grad():
+            out = nm.ctm_head(x, eye, eye, eye, 2)[0]
+            y = nm.dense(out, Tensor(np.ones((6, 1))), Tensor([0.0]))
+            assert y._parents == () and y._backward is None and out._parents == ()
+            raise RuntimeError("leave the block by an exception")
+        assert nm.dense(x, eye, Tensor([0.0, 0.0]))._parents != ()

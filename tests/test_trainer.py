@@ -201,6 +201,18 @@ class TestFit:
         assert history.records == []
         assert k == 4
 
+    @pytest.mark.parametrize("scope", ["row", "global"])
+    @pytest.mark.parametrize("variant", list(model_mod.VARIANTS))
+    def test_same_seed_same_params_and_predictions(self, variant, scope):
+        tr, va, te = small_data()
+        cfg = small_config(variant=variant, truncation_scope=scope, dropout_rate=0.3)
+        st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=2, fixed_k=2)
+        runs = [trainer_mod.fit(cfg, st, tr, va, seed=7)[0] for _ in range(2)]
+        a, b = (p.copy_values() for p in runs)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[n], b[n]) for n in a)
+        assert np.array_equal(trainer_mod.predict(runs[0], te, 2), trainer_mod.predict(runs[1], te, 2))
+
     def test_reproducible_history(self):
         tr, va, _ = small_data()
         st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=3)
