@@ -1,7 +1,8 @@
 """Command-line entry point: data prep, training, evaluation, ablations,
 and the gradient-check suite.
 
-Exit codes: 0 success, 1 usage/config/data/checkpoint error, 2 runtime error.
+Exit codes: 0 success, 1 usage/config/data/checkpoint error or a file that
+cannot be read or written, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ class ConfigError(ValueError):
 
 
 def _merge_strict(defaults, given, path=""):
-    """Overlay a user config onto defaults, rejecting unknown keys."""
+    """Overlay a user config onto defaults, rejecting unknown keys and
+    sections that are not JSON objects."""
+    if not isinstance(given, dict):
+        where = f"section {path[:-1]!r}" if path else "file"
+        raise ConfigError(f"config {where} must be a JSON object, got {json.dumps(given)}")
     unknown = [f"{path}{k}" for k in given if k not in defaults]
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -252,7 +257,7 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, json.JSONDecodeError) as e:
+    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime errors

@@ -48,14 +48,10 @@ class EeoBranch:
 def cross_layer(x0, x_l, p):
     """DCN-style cross with residual: x0 * <w, x_l> + b + x_l.
 
-    x0, x_l: Tensor (B, m); the inner product is a scalar per row.
+    x0, x_l: Tensor (B, m); the inner product is a scalar per row. One
+    node, ``numerics.cross``.
     """
-    if x0.shape[-1] != x_l.shape[-1] or x0.shape[-1] != p.weight.shape[0]:
-        raise DimensionError(
-            f"cross_layer: lengths differ {x0.shape} / {x_l.shape} / {p.weight.shape}"
-        )
-    proj = nm.matmul(x_l, nm.reshape(p.weight, (p.weight.shape[0], 1)))  # (B, 1)
-    return nm.add(nm.add(nm.mul(x0, proj), p.bias), x_l)
+    return nm.cross(x0, x_l, p.weight, p.bias)
 
 
 def eeo_forward(e_flat, branch):

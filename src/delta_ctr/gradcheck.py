@@ -88,6 +88,8 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     _check("gate_mix", lambda: nm.tsum(nm.mul(nm.gate_mix(a, nm.mul(a, a), gate), rng_fixed_weights(a.shape))), [a, gate], tol, results)
     probs = Tensor(rng.random((6,)) * 0.8 + 0.1)
     _check("bce", lambda: nm.bce(probs, [1, 0, 0, 1, 1, 0]), [probs], tol, results)
+    x0, cross_w, cross_b = Tensor(rng.normal((3, 4))), Tensor(rng.normal((4,))), Tensor(rng.normal((4,)))
+    _check("cross", lambda: nm.tsum(nm.mul(nm.cross(x0, a, cross_w, cross_b), rng_fixed_weights(a.shape))), [x0, a, cross_w, cross_b], tol, results)
     return results
 
 

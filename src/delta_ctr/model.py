@@ -308,12 +308,15 @@ def backward_and_accumulate(indices, labels, params, k, rng):
     """Train-mode forward + backward; returns (loss value, grads by name).
 
     The auxiliary branch reaches only the embedding table and its own
-    parameters. Tensors the loss did not reach get a zero gradient.
+    parameters. Tensors the loss did not reach get a zero gradient. The
+    forward's outputs are dropped before backward, which then frees each
+    node's arrays as soon as it has been run through.
     """
     params.zero_grads()
     out = delta_forward(indices, params, k, mode="train", rng=rng)
     l_main = bce_loss(out.y_main, labels)
     l_eeo = None if out.y_eeo is None else bce_loss(out.y_eeo, labels)
+    del out
     loss = total_loss(l_main, l_eeo, params.config.lam)
     loss.backward()
     grads = {}

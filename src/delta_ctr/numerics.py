@@ -4,13 +4,13 @@ Every differentiable layer in the model is built from the primitives
 registered here. The graph is built eagerly: each op returns a Tensor that
 remembers its parents and a closure that routes the incoming gradient to
 them. Calling ``backward()`` on a scalar output walks the graph in reverse
-topological order.
+topological order and consumes it, so a graph is backpropagated once.
 
 The model's hot layers are fused primitives (``dense``, ``ctm_head``,
-``gate_mix``, ``bce``): one node each, with a hand-written backward that
-keeps only the arrays it reads. The small primitives they replace stay as
-the oracles the fused ones are tested against. Inside ``no_grad()`` every
-primitive computes its value only and records no graph.
+``gate_mix``, ``cross``, ``bce``): one node each, with a hand-written
+backward that keeps only the arrays it reads. The small primitives they
+replace stay as the oracles the fused ones are tested against. Inside
+``no_grad()`` every primitive computes its value only and records no graph.
 
 Only the registered primitives may appear in a graph; there is no general
 tape for arbitrary user code.
@@ -35,7 +35,8 @@ class ParameterError(ValueError):
 
 
 class GraphError(RuntimeError):
-    """The computation graph is malformed (non-scalar root, foreign node)."""
+    """The computation graph is malformed (non-scalar root, foreign node) or
+    was already consumed by backward()."""
 
 
 # names of all registered differentiable primitives, for gradcheck reports
@@ -60,6 +61,7 @@ PRIMITIVES = [
     "dense",
     "ctm_head",
     "gate_mix",
+    "cross",
     "bce",
 ]
 
@@ -137,6 +139,15 @@ class Tensor:
         self.grad = None
 
     def backward(self):
+        """Backpropagate from this scalar, consuming the graph on the way.
+
+        Once a node's closure has run, the node drops its gradient (the
+        root keeps its own), its parents and its closure with the arrays the
+        closure kept, so each intermediate is freed as soon as nothing
+        upstream needs it. Leaves, the nodes built without a closure, keep
+        their gradients. A later backward through a consumed node raises
+        GraphError.
+        """
         if self.value.size != 1:
             raise GraphError(f"backward() requires a scalar root, got shape {self.shape}")
         order = []
@@ -155,12 +166,23 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = _consumed, ()
+            if node is not self:
+                node.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, name={self.name})"
+
+
+def _consumed(g):
+    """The closure of a node that backward() has already run through."""
+    raise GraphError("graph already consumed by backward()")
 
 
 def as_tensor(x):
@@ -280,15 +302,27 @@ def softmax_rows(a):
 
 
 def dropout(a, rate, rng, training):
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity at inference."""
+    """Inverted dropout: survivors scaled by 1/(1-rate); identity at inference.
+
+    Backward keeps the boolean mask and the scalar scale. Masking first and
+    scaling second gives the bits of a product with the float mask
+    keep/(1-rate): a dropped entry is a * 0.0 (a signed zero, or NaN for an
+    infinite or NaN a) even where a * scale would overflow.
+    """
     a = as_tensor(a)
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
     if not training or rate == 0.0:
         return Tensor(a.value, (a,), lambda g: _accum(a, g))
     keep = rng.random(a.value.shape) >= rate
-    m = keep / (1.0 - rate)
-    return Tensor(a.value * m, (a,), lambda g: _accum(a, g * m))
+    s = 1.0 / (1.0 - rate)
+
+    def apply(x):
+        out = x * keep
+        out *= s
+        return out
+
+    return Tensor(apply(a.value), (a,), lambda g: _accum(a, apply(g)))
 
 
 def reshape(a, shape):
@@ -442,6 +476,8 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
 
     Returns (output Tensor, weights, truncated weights, kept mask). The
     mask is constant in backward: gradient flows through kept weights only.
+    Backward keeps emb's value, the weights, the truncated weights and the
+    mask, and recomputes the three projections from emb.
     """
     emb, w_q, w_k, w_v = as_tensor(emb), as_tensor(w_q), as_tensor(w_k), as_tensor(w_v)
     x = emb.value
@@ -463,8 +499,7 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     else:
         mask = topk_mask(w.reshape(b, n * n), k * n).reshape(w.shape)
     theta = w if k == n else np.where(mask, w, 0.0)
-    v = np.matmul(x, w_v.value)
-    out_val = np.matmul(theta, v).reshape(b, n * d)
+    out_val = np.matmul(theta, np.matmul(x, w_v.value)).reshape(b, n * d)
 
     # The products below, the batched weight-gradient matmuls summed by
     # _unbroadcast and the q, k, v order of the sums into emb are those of
@@ -482,14 +517,15 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
 
     def backward(g):
         g = g.reshape(b, n, d)
-        g_w = np.matmul(g, np.swapaxes(v, -1, -2))
+        g_w = np.matmul(g, np.swapaxes(np.matmul(x, w_v.value), -1, -2))
         g_v = np.matmul(np.swapaxes(theta, -1, -2), g)
         if k < n:
             g_w *= mask
         g_w -= (g_w * w).sum(axis=-1, keepdims=True)
         g_w *= w
         g_w *= c  # now the gradient of the scores Q K^T
-        project_back(np.matmul(g_w, key), w_q)
+        project_back(np.matmul(g_w, np.matmul(x, w_k.value)), w_q)
+        q = np.matmul(x, w_q.value)
         project_back(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_w), -1, -2), w_k)
         project_back(g_v, w_v)
 
@@ -510,6 +546,36 @@ def gate_mix(e, enhanced, gate):
         _accum(gate, g_s * s * one_minus)
 
     return Tensor(out_val, (e, enhanced, gate), backward)
+
+
+def cross(x0, x_l, w, b):
+    """DCN-style cross layer with residual, x0 * (x_l @ w) + b + x_l, for
+    x0, x_l (B, m) and w, b (m,), as one node. Backward keeps only the
+    projection x_l @ w (B, 1)."""
+    x0, x_l, w, b = as_tensor(x0), as_tensor(x_l), as_tensor(w), as_tensor(b)
+    m = w.value.shape[0]
+    if x0.value.shape[-1] != m or x_l.value.shape[-1] != m or b.value.shape != (m,):
+        raise DimensionError(f"cross: lengths differ {x0.shape} / {x_l.shape} / {w.shape} / {b.shape}")
+    proj = np.matmul(x_l.value, w.value.reshape(m, 1))
+    out_val = x0.value * proj
+    out_val += b.value
+    out_val += x_l.value
+
+    # The products and the order of the sums (x_l, b, x0, x_l again, w)
+    # are those of the composed matmul/reshape/mul/add layer, so the
+    # gradients equal its bit for bit
+    def backward(g):
+        _accum(x_l, g)
+        _accum(b, _unbroadcast(g, b.value.shape))
+        _accum(x0, g * proj)
+        g_proj = _unbroadcast(g * x0.value, proj.shape)
+        if x_l.requires_grad:
+            _accum(x_l, np.matmul(g_proj, np.swapaxes(w.value.reshape(m, 1), -1, -2)))
+        if w.requires_grad:
+            _accum(w, np.matmul(np.swapaxes(x_l.value, -1, -2), g_proj).reshape(m))
+
+    # parents in the order the graph walk visited the composed layer's
+    return Tensor(out_val, (x0, w, b, x_l), backward)
 
 
 def bce(y, labels):

@@ -87,6 +87,14 @@ class TestPrep:
         assert "3" in capsys.readouterr().err  # line number
 
 
+    def test_missing_input_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        rc = cli.main(["prep", "--input", str(missing), "--output", str(tmp_path / "o.bin")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+
 class TestTrain:
     def test_smoke_and_artifacts(self, config_file, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(config_file)])
@@ -135,6 +143,21 @@ class TestTrain:
         rc = cli.main(["train", "--config", str(p)])
         assert rc == 1
         assert "validation split is empty" in capsys.readouterr().err
+
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert cli.main(["train", "--config", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize(
+        "raw, where", [({"model": 5}, "section 'model'"), ([1, 2], "file"), ({"data": [1]}, "section 'data'")]
+    )
+    def test_config_part_not_an_object_exit_1(self, tmp_path, capsys, raw, where):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(p)]) == 1
+        assert f"error: config {where} must be a JSON object" in capsys.readouterr().err
 
     def test_lambda_default_half(self):
         assert cli.CONFIG_DEFAULTS["model"]["lambda"] == 0.5
@@ -202,6 +225,16 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(prepped)])
         assert rc == 1
         assert "stray bytes" in capsys.readouterr().err
+
+    def test_missing_cache_or_checkpoint_exit_1(self, config_file, prepped, tmp_path, capsys):
+        cli.main(["train", "--config", str(config_file)])
+        ckpt, missing = tmp_path / "run.ckpt", tmp_path / "absent"
+        capsys.readouterr()
+        for args in (["--checkpoint", str(ckpt), "--data", str(missing)],
+                     ["--checkpoint", str(missing), "--data", str(prepped)]):
+            assert cli.main(["eval"] + args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(missing) in err
 
     def test_cut_cache_exit_1(self, config_file, prepped, tmp_path):
         cli.main(["train", "--config", str(config_file)])

@@ -138,6 +138,21 @@ class TestDropout:
         with pytest.raises(ParameterError):
             nm.dropout(Tensor([1.0]), 1.0, Rng(0), training=True)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 0.7])
+    def test_bool_mask_bitwise_equal_to_float_mask(self, rate):
+        # signed zeros, infinities, NaN and a value whose scaled survivor
+        # overflows, among ordinary values, in the input and the upstream
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 2.5])
+        x = np.concatenate([np.tile(special, 12), Rng(60).normal((40,))])
+        upstream = np.roll(x, 3)
+        m = (Rng(61).random(x.shape) >= rate) / (1.0 - rate)  # the float mask
+        a = Tensor(x.copy())
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = nm.dropout(a, rate, Rng(61), training=True)
+            assert_same_bits(out.value, x * m)
+            nm.tsum(nm.mul(out, upstream)).backward()
+            assert_same_bits(a.grad, upstream * m)
+
 
 class TestGradOf:
     def test_square(self):
@@ -171,6 +186,31 @@ class TestGradOf:
             nm.grad_of(lambda: 3.0, [Tensor([1.0])])
         with pytest.raises(GraphError):
             nm.grad_of(lambda: Tensor([1.0]), [np.zeros(2)])
+
+
+class TestBackwardConsumesGraph:
+    def build(self):
+        rng = Rng(10)
+        a, b = Tensor(rng.normal((3, 4))), Tensor(rng.normal((4, 2)))
+        hidden = [nm.matmul(a, b)]
+        hidden.append(nm.relu(hidden[0]))
+        hidden.append(nm.mul(hidden[1], hidden[1]))
+        return a, b, hidden, nm.tsum(hidden[2])
+
+    def test_intermediates_released_leaves_and_root_keep_gradients(self):
+        a, b, hidden, loss = self.build()
+        loss.backward()
+        for t in hidden + [loss]:
+            assert t._parents == () and t._backward is nm._consumed
+        assert all(t.grad is None for t in hidden)
+        assert loss.grad == 1.0 and a.grad is not None and b.grad is not None
+
+    def test_backward_through_a_consumed_node_raises(self):
+        _, _, hidden, loss = self.build()
+        other = nm.tsum(hidden[1])  # shares the consumed relu and matmul nodes
+        loss.backward()
+        with pytest.raises(GraphError, match="consumed"):
+            other.backward()
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -431,6 +471,40 @@ class TestGateMix:
         for a, c in zip(nm.grad_of(lambda: nm.tsum(nm.mul(nm.gate_mix(e, enh, gate), upstream)), params),
                         nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), params)):
             assert_same_bits(a, c)
+
+
+def composed_cross(x0, x_l, w, b):
+    proj = nm.matmul(x_l, nm.reshape(w, (w.shape[0], 1)))
+    return nm.add(nm.add(nm.mul(x0, proj), b), x_l)
+
+
+class TestCross:
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bitwise_equal_to_composed_primitives(self, shared):
+        # two stacked layers from one x0, as in the cross-net; with shared,
+        # the first layer's x_l is x0 itself
+        rng = Rng(42)
+        x0 = Tensor(rng.normal((7, 5)))
+        x_l = x0 if shared else Tensor(rng.normal((7, 5)))
+        layers = [(Tensor(rng.normal((5,))), Tensor(rng.normal((5,)))) for _ in range(2)]
+        upstream = rng.normal((7, 5))
+        params = [x0, x_l] + [t for layer in layers for t in layer]
+
+        def net(layer_fn):
+            x = x_l
+            for w, b in layers:
+                x = layer_fn(x0, x, w, b)
+            return x
+
+        assert_same_bits(net(nm.cross).value, net(composed_cross).value)
+        got = nm.grad_of(lambda: nm.tsum(nm.mul(net(nm.cross), upstream)), params)
+        want = nm.grad_of(lambda: nm.tsum(nm.mul(net(composed_cross), upstream)), params)
+        for a, c in zip(got, want):
+            assert_same_bits(a, c)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            nm.cross(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(3), np.zeros(4))
 
 
 class TestBce:
