@@ -1,8 +1,9 @@
 """Command-line entry point: data prep, training, evaluation, ablations,
 and the gradient-check suite.
 
-Exit codes: 0 success, 1 usage/config/data/checkpoint error or a file that
-cannot be read or written, 2 runtime error.
+Exit codes: 0 success, 1 usage/config/data/checkpoint error, a split whose
+metrics are undefined (one label class) or a file that cannot be read or
+written, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import gradcheck as gradcheck_mod
+from . import metrics as metrics_mod
 from . import model as model_mod
 from . import trainer as trainer_mod
 from .numerics import ParameterError
@@ -257,7 +259,8 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, json.JSONDecodeError, OSError) as e:
+    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, metrics_mod.MetricError,
+            json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime errors

@@ -4,10 +4,14 @@ explicit-crossing branch and the training losses."""
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import io
 import json
 import math
+import os
 import struct
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -247,29 +251,67 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
         return _forward(indices, params, k, False, Rng(0) if rng is None else rng)
 
 
+def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
+    """One tower's path: its CTM head, then its EFG gate, then the tower
+    (the tower alone on the raw embeddings when the variant has no head).
+    Returns (tower output, AttentionState or None)."""
+    x, state = e_flat, None
+    if head is not None:
+        x, state = layers_mod.ctm_forward(emb, head, k, cfg.truncation_scope)
+        if gate is not None:
+            x = layers_mod.efg_fuse(e_flat, x, gate)
+    return tower.forward(x, cfg.dropout_rate, rng, training), state
+
+
+_branch_pool = None  # one worker thread for tower 2's path, made on first use
+_branch_pool_lock = threading.Lock()
+
+
+def _drop_branch_pool():
+    global _branch_pool
+    _branch_pool = None  # a forked child has no worker thread; make a new pool there
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_branch_pool)
+
+
+def _branch_worker():
+    global _branch_pool
+    with _branch_pool_lock:
+        if _branch_pool is None:
+            _branch_pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="delta-tower2"
+            )
+        return _branch_pool
+
+
 def _forward(indices, params, k, training, rng):
     cfg = params.config
     spec = VARIANTS[cfg.variant]
     b = indices.shape[0]
     emb = layers_mod.embed_lookup(params.embedding, indices)  # (B, n, d)
     e_flat = nm.reshape(emb, (b, cfg.flat_dim))
+    if spec.attention == "soft":  # k=n keeps every weight and selects nothing
+        k = cfg.n_fields
 
-    state1 = state2 = None
-    if spec.attention:
-        if spec.attention == "soft":  # k=n keeps every weight and selects nothing
-            k = cfg.n_fields
-        enh1, state1 = layers_mod.ctm_forward(emb, params.head1, k, cfg.truncation_scope)
-        enh2, state2 = layers_mod.ctm_forward(emb, params.head2, k, cfg.truncation_scope)
-        if spec.gate:
-            x1 = layers_mod.efg_fuse(e_flat, enh1, params.gate1)
-            x2 = layers_mod.efg_fuse(e_flat, enh2, params.gate2)
-        else:
-            x1, x2 = enh1, enh2
-    else:
-        x1 = x2 = e_flat
+    # The two paths share nothing until the concat below. Their numpy and
+    # BLAS work releases the GIL, so tower 2's path runs on the worker thread
+    # while tower 1's runs here; the graph, the RNG draws and the values are
+    # those of running them one after the other. The worker runs in a copy
+    # of this context, so no_grad() holds there too.
+    def path(i, head, gate, tower):
+        return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
 
-    t1 = params.tower1.forward(x1, cfg.dropout_rate, rng.split("tower1"), training)
-    t2 = params.tower2.forward(x2, cfg.dropout_rate, rng.split("tower2"), training)
+    second = _branch_worker().submit(
+        contextvars.copy_context().run, path, 2, params.head2, params.gate2, params.tower2
+    )
+    try:
+        t1, state1 = path(1, params.head1, params.gate1, params.tower1)
+    except BaseException:
+        second.exception()  # tower 2's path ends before the error leaves
+        raise
+    t2, state2 = second.result()
     pieces = [t1, t2]
     if spec.concat_cross:
         x = e_flat
@@ -348,7 +390,9 @@ def save_checkpoint(path, params, extra=None):
 
 
 def load_checkpoint(path, vocab_sizes):
-    """Any unreadable or mismatched checkpoint raises CheckpointError."""
+    """Any unreadable or mismatched checkpoint raises CheckpointError, and
+    so does a header whose extra is not a JSON object or whose k (the
+    bottleneck the model was trained at, optional) is not in [1, n_fields]."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != CKPT_MAGIC:
@@ -376,6 +420,12 @@ def load_checkpoint(path, vocab_sizes):
         if pos != len(buf):
             raise ValueError(f"{len(buf) - pos} stray bytes after the last tensor")
         params.load_values(values)
-        return params, header["extra"]
+        extra = header["extra"]
+        if not isinstance(extra, dict):
+            raise ValueError(f"header extra must be a JSON object, got {json.dumps(extra)}")
+        k = extra.get("k", config.n_fields)
+        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= config.n_fields:
+            raise ValueError(f"k must be an integer in [1, {config.n_fields}], got {json.dumps(k)}")
+        return params, extra
     except (struct.error, ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: unreadable or mismatched checkpoint: {e}") from e

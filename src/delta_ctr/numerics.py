@@ -476,8 +476,9 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
 
     Returns (output Tensor, weights, truncated weights, kept mask). The
     mask is constant in backward: gradient flows through kept weights only.
-    Backward keeps emb's value, the weights, the truncated weights and the
-    mask, and recomputes the three projections from emb.
+    Backward keeps emb's value, the weights and the mask, and recomputes
+    the three projections from emb and the truncated weights from the
+    weights and the mask.
     """
     emb, w_q, w_k, w_v = as_tensor(emb), as_tensor(w_q), as_tensor(w_k), as_tensor(w_v)
     x = emb.value
@@ -518,7 +519,7 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     def backward(g):
         g = g.reshape(b, n, d)
         g_w = np.matmul(g, np.swapaxes(np.matmul(x, w_v.value), -1, -2))
-        g_v = np.matmul(np.swapaxes(theta, -1, -2), g)
+        g_v = np.matmul(np.swapaxes(w if k == n else np.where(mask, w, 0.0), -1, -2), g)
         if k < n:
             g_w *= mask
         g_w -= (g_w * w).sum(axis=-1, keepdims=True)

@@ -243,6 +243,49 @@ class TestEval:
         assert rc == 1
 
 
+    @pytest.mark.parametrize("extra, says", [
+        ({"k": 0}, "k must be an integer in [1, 3], got 0"),
+        ({"k": 4}, "got 4"),
+        ({"k": "x"}, 'got "x"'),
+        ({"k": None}, "got null"),
+        ({"k": True}, "got true"),
+        ({"k": 2.0}, "got 2.0"),
+        ([1], "header extra must be a JSON object, got [1]"),
+    ])
+    def test_bad_checkpoint_k_exit_1(self, prepped, tmp_path, capsys, extra, says):
+        d, _ = data_mod.load_cache(prepped)
+        cfg = model_mod.ModelConfig(n_fields=3, embed_dim=2, tower1_layers=[4], tower2_layers=[4])
+        ckpt = tmp_path / "bad_k.ckpt"
+        model_mod.save_checkpoint(ckpt, model_mod.ModelParams.init(cfg, d.vocab_sizes, seed=0), extra)
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(prepped)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+
+    def test_one_class_split_exit_1(self, toy_raw, tmp_path, capsys):
+        lines = toy_raw.read_text().splitlines()
+        one_class = tmp_path / "zeros.csv"
+        one_class.write_text("\n".join([lines[0]] + ["0" + l[1:] for l in lines[1:]]) + "\n")
+        cache = tmp_path / "zeros.bin"
+        assert cli.main(["prep", "--input", str(one_class), "--output", str(cache)]) == 0
+        d, _ = data_mod.load_cache(cache)
+        cfg = model_mod.ModelConfig(n_fields=3, embed_dim=2, tower1_layers=[4], tower2_layers=[4])
+        ckpt = tmp_path / "zeros.ckpt"
+        model_mod.save_checkpoint(ckpt, model_mod.ModelParams.init(cfg, d.vocab_sizes, seed=0))
+        config = tmp_path / "zeros.json"
+        config.write_text(json.dumps({
+            "data": {"cache": str(cache)},
+            "model": {"embed_dim": 2, "tower1_layers": [4], "tower2_layers": [4]},
+            "trainer": {"batch_size": 16, "t_max": 1},
+            "out_prefix": str(tmp_path / "zeros"),
+        }))
+        capsys.readouterr()
+        for argv in (["eval", "--checkpoint", str(ckpt), "--data", str(cache)],
+                     ["train", "--config", str(config)]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err.startswith("error: AUC undefined"), argv
+
+
 class TestAblate:
     def test_two_variants(self, config_file, capsys):
         rc = cli.main(["ablate", "--config", str(config_file), "--variants", "full,ctm_soft"])

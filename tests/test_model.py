@@ -1,3 +1,8 @@
+import concurrent.futures
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +11,7 @@ import pytest
 from delta_ctr import data as data_mod
 from delta_ctr import model as model_mod
 from delta_ctr import numerics as nm
+from delta_ctr import trainer as trainer_mod
 from delta_ctr.model import CheckpointError, ModelConfig, ModelParams
 from delta_ctr.numerics import GraphError, ParameterError, Rng, Tensor
 
@@ -390,6 +396,160 @@ class TestBackwardConsumesGraph:
         finally:
             tracemalloc.stop()
         assert seen["peak"] < 1.3 * seen["forward_end"], seen
+
+
+class InlineExecutor:
+    """Runs each submitted call at once on the calling thread: the branches
+    one after the other, as before they ran concurrently."""
+
+    def submit(self, fn, *args):
+        f = concurrent.futures.Future()
+        try:
+            f.set_result(fn(*args))
+        except BaseException as e:
+            f.set_exception(e)
+        return f
+
+
+class Boom(RuntimeError):
+    pass
+
+
+class TestConcurrentBranches:
+    def fit(self, variant, scope, tmp_path, tag):
+        ds = data_mod.generate_synthetic(3, 2, 6, 240, seed=1)
+        train, val, test = ds.subset(slice(0, 160)), ds.subset(slice(160, 200)), ds.subset(slice(200, 240))
+        cfg = tiny_config(variant=variant, truncation_scope=scope, dropout_rate=0.3)
+        st = trainer_mod.TrainSettings(batch_size=32, lr=1e-2, t_max=2, c_min=2)
+        params, history, k = trainer_mod.fit(cfg, st, train, val, seed=3)
+        history.write(tmp_path / f"{tag}.tsv")
+        values = {n: v.tobytes() for n, v in params.copy_values().items()}
+        return values, trainer_mod.predict(params, test, k).tobytes(), (tmp_path / f"{tag}.tsv").read_bytes()
+
+    @pytest.mark.parametrize("scope", ["row", "global"])
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_bit_identical_to_the_branches_run_inline(self, variant, scope, tmp_path, monkeypatch):
+        concurrent_run = self.fit(variant, scope, tmp_path, "concurrent")
+        monkeypatch.setattr(model_mod, "_branch_worker", InlineExecutor)
+        assert self.fit(variant, scope, tmp_path, "inline") == concurrent_run
+
+    def record_paths(self, monkeypatch, params, fail=None, slow=None):
+        """Wrap _tower_path: record (thread, output) by tower once its path
+        has run; tower `fail` raises Boom instead, tower `slow` sleeps first."""
+        seen = {}
+        path = model_mod._tower_path
+
+        def recording(emb, e_flat, head, gate, tower, *args):
+            i = 1 if tower is params.tower1 else 2
+            if i == slow:
+                time.sleep(0.2)
+            if i == fail:
+                raise Boom(f"tower {i}")
+            out = path(emb, e_flat, head, gate, tower, *args)
+            seen[i] = (threading.get_ident(), out[0])
+            return out
+
+        monkeypatch.setattr(model_mod, "_tower_path", recording)
+        return seen
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_tower2_runs_on_the_worker_and_records_no_graph_in_infer(self, variant, monkeypatch):
+        params = ModelParams.init(tiny_config(variant=variant), VOCABS, seed=2)
+        seen = self.record_paths(monkeypatch, params)
+        idx, _ = make_batch()
+        model_mod.delta_forward(idx, params, k=2, mode="infer")
+        assert seen[1][0] == threading.get_ident() != seen[2][0]
+        t2 = seen[2][1]
+        assert t2._parents == () and t2._backward is None
+        model_mod.delta_forward(idx, params, k=2, mode="train", rng=Rng(0))
+        assert seen[2][1]._parents != () and seen[2][1]._backward is not None
+
+    @pytest.mark.parametrize("mode", ["infer", "train"])
+    def test_exception_in_either_branch_propagates_after_both_end(self, mode, monkeypatch):
+        params = ModelParams.init(tiny_config(), VOCABS, seed=2)
+        idx, _ = make_batch()
+        want = model_mod.delta_forward(idx, params, 2, mode=mode, rng=Rng(0)).y_main.value
+        for fail, slow in ((2, None), (1, 2)):
+            seen = self.record_paths(monkeypatch, params, fail=fail, slow=slow)
+            with pytest.raises(Boom, match=f"tower {fail}"):
+                model_mod.delta_forward(idx, params, 2, mode=mode, rng=Rng(0))
+            assert list(seen) == [3 - fail]  # the other branch had finished
+            monkeypatch.undo()
+            got = model_mod.delta_forward(idx, params, 2, mode=mode, rng=Rng(0)).y_main.value
+            assert got.tobytes() == want.tobytes()
+
+    def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
+        """Six threads on two cores, the interpreter switching every
+        microsecond: infer callers share one model, train callers each have
+        their own; every result equals the serial one, and one pool is made."""
+        shared = ModelParams.init(tiny_config(dropout_rate=0.3), VOCABS, seed=2)
+        batches = [make_batch(seed=s) for s in range(3)]
+
+        def infer(idx):
+            return model_mod.delta_forward(idx, shared, 2).y_main.value.tobytes()
+
+        def train(params, idx, labels):
+            loss, grads = model_mod.backward_and_accumulate(idx, labels, params, 2, Rng(4))
+            return loss, {n: g.tobytes() for n, g in grads.items()}
+
+        own = [ModelParams.init(tiny_config(dropout_rate=0.3), VOCABS, seed=2) for _ in range(3)]
+        want_infer = [infer(idx) for idx, _ in batches]
+        want_train = [train(own[0], *batch) for batch in batches]
+        pools = []
+
+        class CountedPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(model_mod, "_branch_pool", None)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+        wrong = []
+
+        def caller(i):
+            for rep in range(10):
+                j = (i + rep) % 3
+                if i < 3:
+                    ok = infer(batches[j][0]) == want_infer[j]
+                else:
+                    ok = train(own[i - 3], *batches[j]) == want_train[j]
+                if not ok:
+                    wrong.append((i, rep))
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+            for pool in pools:
+                pool.shutdown(wait=False)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and len(pools) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forward_in_a_forked_child(self):
+        # the child inherits the pool but not its worker thread; without a
+        # new pool there, its first forward waits forever
+        params = ModelParams.init(tiny_config(), VOCABS, seed=2)
+        idx, _ = make_batch()
+        want = model_mod.delta_forward(idx, params, 2).y_main.value
+        pid = os.fork()
+        if pid == 0:
+            got = model_mod.delta_forward(idx, params, 2).y_main.value
+            os._exit(0 if got.tobytes() == want.tobytes() else 3)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's forward did not return")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestFullModelGradients:

@@ -405,6 +405,21 @@ class TestCtmHead:
         _, w, theta, mask = compare_heads(emb, head, 5, scope, reference=soft)
         assert mask.all() and theta is w
 
+    @pytest.mark.parametrize("scope", ["row", "global"])
+    def test_backward_keeps_weights_and_mask_but_not_truncated_weights(self, scope):
+        rng = Rng(40)
+        emb = Tensor(rng.normal((3, 5, 2)))
+        head = layers_mod.CtmHeadParams.init(2, rng.split("h"))
+        out, w, theta, mask = fused_head(emb, head, 2, scope)
+        kept, todo = [], [out._backward]
+        while todo:  # the closure's cells, and those of the functions it holds
+            for cell in getattr(todo.pop(), "__closure__", None) or ():
+                kept.append(cell.cell_contents)
+                if callable(cell.cell_contents):
+                    todo.append(cell.cell_contents)
+        assert any(v is w for v in kept) and any(v is mask for v in kept)
+        assert not any(v is theta for v in kept)
+
     def test_unknown_scope(self):
         w = Tensor(np.eye(2))
         with pytest.raises(ParameterError, match="colum"):
