@@ -90,8 +90,8 @@ def _model_config(cfg, n_fields, variant=None):
         return model_mod.ModelConfig(
             n_fields=n_fields,
             embed_dim=m["embed_dim"],
-            tower1_layers=list(m["tower1_layers"]),
-            tower2_layers=list(m["tower2_layers"]),
+            tower1_layers=m["tower1_layers"],
+            tower2_layers=m["tower2_layers"],
             dropout_rate=m["dropout_rate"],
             cross_depth=m["cross_depth"],
             lam=m["lambda"],
@@ -102,18 +102,21 @@ def _model_config(cfg, n_fields, variant=None):
         raise ConfigError(str(e)) from e
 
 
-def _train_settings(cfg):
+def _train_settings(cfg, n_fields):
     t = cfg["trainer"]
-    return trainer_mod.TrainSettings(
-        batch_size=t["batch_size"],
-        lr=t["lr"],
-        t_max=t["t_max"],
-        delta=t["delta"],
-        lr_decay=t["lr_decay"],
-        c_min=t["c_min"],
-        lr_floor=t["lr_floor"],
-        fixed_k=t["fixed_k"],
-    )
+    try:
+        return trainer_mod.TrainSettings(
+            batch_size=t["batch_size"],
+            lr=t["lr"],
+            t_max=t["t_max"],
+            delta=t["delta"],
+            lr_decay=t["lr_decay"],
+            c_min=t["c_min"],
+            lr_floor=t["lr_floor"],
+            fixed_k=t["fixed_k"],
+        ).validate(n_fields)
+    except ParameterError as e:
+        raise ConfigError(str(e)) from e
 
 
 def _load_splits(cache_path):
@@ -151,7 +154,8 @@ def cmd_train(args):
     cfg = load_config(args.config, args.seed)
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     mc = _model_config(cfg, train_ds.n_fields)
-    params, history, best_k = trainer_mod.fit(mc, _train_settings(cfg), train_ds, val_ds, cfg["seed"])
+    settings = _train_settings(cfg, train_ds.n_fields)
+    params, history, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, cfg["seed"])
     prefix = cfg["out_prefix"]
     history.write(prefix + ".history.tsv")
     model_mod.save_checkpoint(prefix + ".ckpt", params, extra={"k": best_k, "seed": cfg["seed"]})
@@ -186,12 +190,13 @@ def cmd_ablate(args):
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     eval_ds = test_ds if len(test_ds) else val_ds
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
+    settings = _train_settings(cfg, train_ds.n_fields)
     print("variant\tauc_mean\tauc_std\tlogloss_mean\tlogloss_std")
     for v in variants:
         mc = _model_config(cfg, train_ds.n_fields, variant=v)
         aucs, lls = [], []
         for s in seeds:
-            params, _, best_k = trainer_mod.fit(mc, _train_settings(cfg), train_ds, val_ds, s)
+            params, _, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, s)
             res = trainer_mod.evaluate(params, eval_ds, best_k)
             aucs.append(res.auc)
             lls.append(res.logloss)

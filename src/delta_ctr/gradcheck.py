@@ -84,6 +84,11 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     weights = rng_fixed_weights((2, 12))
     for label, k, scope in (("ctm_head", 2, "row"), ("ctm_head/global", 1, "global"), ("ctm_head/k=n", 4, "row")):
         _check(label, lambda k=k, scope=scope: nm.tsum(nm.mul(nm.ctm_head(emb, *heads, k, scope)[0], weights)), [emb] + heads, tol, results)
+    # a batch one instance longer than the head's slice: the weight gradients sum over two slices
+    wide = rng.split("slices")
+    emb2, heads2 = Tensor(wide.normal((nm.HEAD_SLICE + 1, 3, 2))), [Tensor(wide.normal((2, 2))) for _ in range(3)]
+    weights2 = rng_fixed_weights((nm.HEAD_SLICE + 1, 6))
+    _check("ctm_head/2 slices", lambda: nm.tsum(nm.mul(nm.ctm_head(emb2, *heads2, 2)[0], weights2)), [emb2] + heads2, tol, results)
     gate = Tensor(rng.normal((4,)))
     _check("gate_mix", lambda: nm.tsum(nm.mul(nm.gate_mix(a, nm.mul(a, a), gate), rng_fixed_weights(a.shape))), [a, gate], tol, results)
     probs = Tensor(rng.random((6,)) * 0.8 + 0.1)

@@ -4,14 +4,11 @@ explicit-crossing branch and the training losses."""
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import io
 import json
 import math
-import os
+import numbers
 import struct
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -65,14 +62,17 @@ class ModelConfig:
             raise ParameterError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if self.truncation_scope not in ("row", "global"):
             raise ParameterError(f"unknown truncation scope {self.truncation_scope!r}")
-        if self.lam < 0:
-            raise ParameterError("lambda must be >= 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ParameterError("dropout_rate must be in [0, 1)")
-        if any(s <= 0 for s in self.tower1_layers + self.tower2_layers):
-            raise ParameterError("tower layer sizes must be positive")
-        if self.cross_depth < 1:
-            raise ParameterError("cross_depth must be >= 1")
+        for name in ("n_fields", "embed_dim", "cross_depth"):
+            if not is_count(getattr(self, name)):
+                raise ParameterError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+        if not is_real(self.lam) or self.lam < 0:
+            raise ParameterError(f"lambda must be a number >= 0, got {self.lam!r}")
+        if not is_real(self.dropout_rate) or not 0.0 <= self.dropout_rate < 1.0:
+            raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
+        for name in ("tower1_layers", "tower2_layers"):
+            sizes = getattr(self, name)
+            if not isinstance(sizes, (list, tuple)) or not sizes or not all(is_count(s) for s in sizes):
+                raise ParameterError(f"{name} must be a nonempty list of positive layer sizes, got {sizes!r}")
         return self
 
     @property
@@ -85,6 +85,16 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         return cls(**d).validate()
+
+
+def is_count(x):
+    """x is an integer >= 1, not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
+def is_real(x):
+    """x is a finite real number, not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _dense_init(fan_in, fan_out, rng, name):
@@ -140,13 +150,16 @@ class ModelParams:
     def init(cls, config, vocab_sizes, seed):
         """Build the variant's learnable tensors from per-component RNG streams,
         so the draws for any one component do not depend on which others exist."""
+        return cls._build(config, vocab_sizes, Rng(seed).split("params"))
+
+    @classmethod
+    def _build(cls, config, vocab_sizes, root):
         config.validate()
         if len(vocab_sizes) != config.n_fields:
             raise ParameterError(
                 f"{len(vocab_sizes)} vocab sizes for {config.n_fields} fields"
             )
         spec = VARIANTS[config.variant]
-        root = Rng(seed).split("params")
         d, m = config.embed_dim, config.flat_dim
         tower1 = Mlp.init(m, config.tower1_layers, root.split("tower1"), "tower1")
         tower2 = Mlp.init(m, config.tower2_layers, root.split("tower2"), "tower2")
@@ -263,29 +276,6 @@ def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
     return tower.forward(x, cfg.dropout_rate, rng, training), state
 
 
-_branch_pool = None  # one worker thread for tower 2's path, made on first use
-_branch_pool_lock = threading.Lock()
-
-
-def _drop_branch_pool():
-    global _branch_pool
-    _branch_pool = None  # a forked child has no worker thread; make a new pool there
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_branch_pool)
-
-
-def _branch_worker():
-    global _branch_pool
-    with _branch_pool_lock:
-        if _branch_pool is None:
-            _branch_pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="delta-tower2"
-            )
-        return _branch_pool
-
-
 def _forward(indices, params, k, training, rng):
     cfg = params.config
     spec = VARIANTS[cfg.variant]
@@ -295,23 +285,18 @@ def _forward(indices, params, k, training, rng):
     if spec.attention == "soft":  # k=n keeps every weight and selects nothing
         k = cfg.n_fields
 
-    # The two paths share nothing until the concat below. Their numpy and
-    # BLAS work releases the GIL, so tower 2's path runs on the worker thread
-    # while tower 1's runs here; the graph, the RNG draws and the values are
-    # those of running them one after the other. The worker runs in a copy
-    # of this context, so no_grad() holds there too.
+    # The two paths share nothing until the concat below, so tower 2's path
+    # runs on the worker thread while tower 1's runs here; the graph, the
+    # RNG draws and the values are those of running them one after the
+    # other. Their nodes are tagged, so backward runs them concurrently too.
     def path(i, head, gate, tower):
-        return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
+        with nm.on_path(i):
+            return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
 
-    second = _branch_worker().submit(
-        contextvars.copy_context().run, path, 2, params.head2, params.gate2, params.tower2
+    (t1, state1), (t2, state2) = nm.concurrently(
+        lambda: path(1, params.head1, params.gate1, params.tower1),
+        lambda: path(2, params.head2, params.gate2, params.tower2),
     )
-    try:
-        t1, state1 = path(1, params.head1, params.gate1, params.tower1)
-    except BaseException:
-        second.exception()  # tower 2's path ends before the error leaves
-        raise
-    t2, state2 = second.result()
     pieces = [t1, t2]
     if spec.concat_cross:
         x = e_flat
@@ -389,6 +374,17 @@ def save_checkpoint(path, params, extra=None):
         f.write(buf.getvalue())
 
 
+class _NoDraws:
+    """Stands in for the parameter Rng when every tensor is overwritten at
+    once: it draws nothing, and its zeros take no memory until written."""
+
+    def split(self, tag):
+        return self
+
+    def uniform(self, low, high, shape):
+        return np.zeros(shape)
+
+
 def load_checkpoint(path, vocab_sizes):
     """Any unreadable or mismatched checkpoint raises CheckpointError, and
     so does a header whose extra is not a JSON object or whose k (the
@@ -405,7 +401,7 @@ def load_checkpoint(path, vocab_sizes):
         pos = 10 + hlen
         header = json.loads(buf[10:pos])
         config = ModelConfig.from_dict(header["config"])
-        params = ModelParams.init(config, vocab_sizes, seed=0)
+        params = ModelParams._build(config, vocab_sizes, _NoDraws())
         values = {}
         for _ in range(header["n_tensors"]):
             (nlen,) = struct.unpack_from("<H", buf, pos)
@@ -424,7 +420,7 @@ def load_checkpoint(path, vocab_sizes):
         if not isinstance(extra, dict):
             raise ValueError(f"header extra must be a JSON object, got {json.dumps(extra)}")
         k = extra.get("k", config.n_fields)
-        if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= config.n_fields:
+        if not is_count(k) or k > config.n_fields:
             raise ValueError(f"k must be an integer in [1, {config.n_fields}], got {json.dumps(k)}")
         return params, extra
     except (struct.error, ValueError, KeyError, TypeError) as e:

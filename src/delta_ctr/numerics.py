@@ -12,16 +12,26 @@ backward that keeps only the arrays it reads. The small primitives they
 replace stay as the oracles the fused ones are tested against. Inside
 ``no_grad()`` every primitive computes its value only and records no graph.
 
+Nodes made inside ``on_path(i)`` are tagged as path 1 or 2. The model tags
+its two tower paths, which share nothing until their outputs are joined;
+``backward()`` runs path 2's part of the graph on one worker thread while
+path 1's runs on the caller (see ``concurrently``), bit for bit as the
+serial walk.
+
 Only the registered primitives may appear in a graph; there is no general
 tape for arbitrary user code.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import contextvars
+import functools
 import hashlib
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -69,6 +79,13 @@ PRIMITIVES = [
 # and no backward closure
 _recording = contextvars.ContextVar("recording", default=True)
 
+# the path number new nodes are tagged with: 0 outside on_path()
+_path = contextvars.ContextVar("path", default=0)
+
+# set inside path 2's block of a concurrent backward: the list that holds
+# the accumulations into nodes outside path 2 (see _accum)
+_held = contextvars.ContextVar("held", default=None)
+
 
 @contextlib.contextmanager
 def no_grad():
@@ -80,6 +97,56 @@ def no_grad():
         yield
     finally:
         _recording.reset(token)
+
+
+@contextlib.contextmanager
+def on_path(i):
+    """Tag the nodes made in this block as path i (1 or 2). A path's nodes
+    may read untagged nodes and nodes of their own path, never the other
+    path's; backward() then runs the two paths concurrently."""
+    token = _path.set(i)
+    try:
+        yield
+    finally:
+        _path.reset(token)
+
+
+_branch_pool = None  # the one worker thread, made on first use
+_branch_pool_lock = threading.Lock()
+
+
+def _drop_branch_pool():
+    global _branch_pool
+    _branch_pool = None  # a forked child has no worker thread; make a new pool there
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_branch_pool)
+
+
+def _branch_worker():
+    global _branch_pool
+    with _branch_pool_lock:
+        if _branch_pool is None:
+            _branch_pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="delta-tower2"
+            )
+        return _branch_pool
+
+
+def concurrently(first, second):
+    """Run second() on the one worker thread, in a copy of this context (so
+    no_grad() holds there), while first() runs here; return both results.
+    Numpy and BLAS release the GIL, so the two overlap. Whichever raises,
+    the other has ended before the error leaves. second() must not call
+    concurrently() itself: the worker would wait on itself."""
+    future = _branch_worker().submit(contextvars.copy_context().run, second)
+    try:
+        a = first()
+    except BaseException:
+        future.exception()
+        raise
+    return a, future.result()
 
 
 class Rng:
@@ -119,7 +186,7 @@ class Rng:
 class Tensor:
     """Node in the autodiff graph wrapping a row-major numpy array."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward", "requires_grad", "name")
+    __slots__ = ("value", "grad", "_parents", "_backward", "_path", "requires_grad", "name")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=True, name=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -128,6 +195,7 @@ class Tensor:
             parents, backward = (), None
         self._parents = tuple(parents)
         self._backward = backward
+        self._path = _path.get()
         self.requires_grad = requires_grad
         self.name = name
 
@@ -147,6 +215,13 @@ class Tensor:
         upstream needs it. Leaves, the nodes built without a closure, keep
         their gradients. A later backward through a consumed node raises
         GraphError.
+
+        When the walk reaches the run of nodes tagged by on_path(), path 2's
+        nodes run on the worker thread while path 1's run here (see
+        _split_paths). Path 2's accumulations into nodes outside path 2 are
+        held and applied after both blocks end, in the order they were made,
+        which is the order of the serial walk, so every gradient keeps its
+        bits. A graph without tagged nodes is walked serially.
         """
         if self.value.size != 1:
             raise GraphError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -166,15 +241,18 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.value)
-        while order:
-            node = order.pop()
-            if node._backward is None:
-                continue
-            if node.grad is not None:
-                node._backward(node.grad)
-            node._backward, node._parents = _consumed, ()
-            if node is not self:
-                node.grad = None
+        split = _split_paths(order)
+        if split is None:
+            _walk(order, self)
+            return
+        lo, hi, path1, path2 = split
+        before = order[hi:]
+        del order[lo:]  # each node is now in one list, which drops it once run
+        _walk(before, self)
+        _, held = concurrently(lambda: _walk(path1, self), lambda: _walk_path2(path2, self))
+        for apply in held:
+            apply()
+        _walk(order, self)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, name={self.name})"
@@ -185,16 +263,90 @@ def _consumed(g):
     raise GraphError("graph already consumed by backward()")
 
 
+def _run(node, root):
+    """Run one node's closure, then consume the node."""
+    if node._backward is None:
+        return
+    if node.grad is not None:
+        node._backward(node.grad)
+    node._backward, node._parents = _consumed, ()
+    if node is not root:
+        node.grad = None
+
+
+def _walk(nodes, root):
+    """Run nodes popped from the end of the list, which drops each."""
+    while nodes:
+        _run(nodes.pop(), root)
+
+
+def _split_paths(order):
+    """Split the run of tagged nodes out of a walk order (walked from its
+    end): (lo, hi, path1, path2) with the run at order[lo:hi], path 1's
+    nodes in path1 and the rest of the run in path2, which are path 2's
+    nodes and the untagged ones the walk reaches among them, such as the
+    reshape both paths read. Leaves run nothing and are left out.
+
+    The split keeps the serial walk's bits only if, in walk order, every
+    path 1 node comes before every other node of the run, and each node
+    reads only untagged nodes and those of its own path (an untagged one
+    only untagged nodes). None when that does not hold or nothing is
+    tagged: the graph is then walked serially.
+    """
+    tagged = [i for i, node in enumerate(order) if node._path]
+    if not tagged:
+        return None
+    lo, hi = tagged[0], tagged[-1] + 1
+    path1, path2 = [], []
+    for node in order[lo:hi]:  # the walk's last node first
+        if node._backward is None:
+            continue
+        if any(p._path not in (0, node._path) for p in node._parents):
+            return None
+        if node._path == 1:
+            path1.append(node)
+        elif path1:
+            return None  # the walk would reach it before a path 1 node
+        else:
+            path2.append(node)
+    return lo, hi, path1, path2
+
+
+def _walk_path2(nodes, root):
+    """Walk path 2's block, holding each accumulation into a node outside
+    path 2 (see _accum) and each untagged node of the block; return the
+    held calls in the order they were made."""
+    held = []
+    _held.set(held)  # in the worker's copy of the caller's context
+    while nodes:
+        node = nodes.pop()
+        if node._path == 2:
+            _run(node, root)
+        else:
+            held.append(functools.partial(_run, node, root))
+    return held
+
+
 def as_tensor(x):
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=False)
 
 
-def _accum(node, g):
+def _accum(node, g, rows=None):
+    """Add g into node.grad, or into its given rows (gather's scatter).
+    Inside path 2's block of a concurrent backward a node outside path 2
+    is not touched: the call is held for the caller to make later."""
     if not node.requires_grad:
         return
-    if node.grad is None:
+    held = _held.get()
+    if held is not None and node._path != 2:
+        held.append(functools.partial(_accum, node, g, rows))
+    elif rows is not None:
+        if node.grad is None:
+            node.grad = np.zeros_like(node.value)
+        np.add.at(node.grad, rows, g)
+    elif node.grad is None:
         node.grad = np.empty_like(node.value)
         node.grad[...] = g
     else:
@@ -384,13 +536,7 @@ def gather(table, idx):
         )
     out_val = table.value[idx]
 
-    def backward(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            np.add.at(table.grad, idx, g)
-
-    return Tensor(out_val, (table,), backward)
+    return Tensor(out_val, (table,), lambda g: _accum(table, g, idx))
 
 
 def transpose_last(a):
@@ -465,6 +611,13 @@ def dense(x, w, b):
     return Tensor(out_val, (x, w, b), backward)
 
 
+HEAD_SLICE = 256  # instances per pass of ctm_head, which bounds its (slice, n, n) temporaries
+
+
+def _slices(b):
+    return [slice(lo, min(lo + HEAD_SLICE, b)) for lo in range(0, b, HEAD_SLICE)]
+
+
 def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     """One truncated attention head over emb (B, n, d) as one node.
 
@@ -479,6 +632,11 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     Backward keeps emb's value, the weights and the mask, and recomputes
     the three projections from emb and the truncated weights from the
     weights and the mask.
+
+    Forward and backward run over HEAD_SLICE instances at a time. Every op
+    works per instance, so the bits do not depend on the slicing, except
+    the three weight-gradient sums over the batch, which backward takes
+    over the whole assembled projection gradients.
     """
     emb, w_q, w_k, w_v = as_tensor(emb), as_tensor(w_q), as_tensor(w_k), as_tensor(w_v)
     x = emb.value
@@ -488,19 +646,26 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     if scope not in ("row", "global"):
         raise ParameterError(f"unknown truncation scope {scope!r}")
     c = 1.0 / math.sqrt(d)
-    q = np.matmul(x, w_q.value)
-    key = np.matmul(x, w_k.value)
-    w = np.matmul(q, np.swapaxes(key, -1, -2))
-    w *= c
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    if scope == "row":
-        mask = topk_mask(w, k)
+    w = np.empty((b, n, n))
+    if k == n:
+        mask, theta = np.ones(w.shape, dtype=bool), w
     else:
-        mask = topk_mask(w.reshape(b, n * n), k * n).reshape(w.shape)
-    theta = w if k == n else np.where(mask, w, 0.0)
-    out_val = np.matmul(theta, np.matmul(x, w_v.value)).reshape(b, n * d)
+        mask, theta = np.empty(w.shape, dtype=bool), np.empty(w.shape)
+    out_val = np.empty((b, n, d))
+    for s in _slices(b):
+        xs, ws = x[s], w[s]
+        np.matmul(np.matmul(xs, w_q.value), np.swapaxes(np.matmul(xs, w_k.value), -1, -2), out=ws)
+        ws *= c
+        ws -= ws.max(axis=-1, keepdims=True)
+        np.exp(ws, out=ws)
+        ws /= ws.sum(axis=-1, keepdims=True)
+        if k < n:
+            if scope == "row":
+                mask[s] = topk_mask(ws, k)
+            else:
+                mask[s] = topk_mask(ws.reshape(-1, n * n), k * n).reshape(ws.shape)
+            theta[s] = np.where(mask[s], ws, 0.0)
+        np.matmul(theta[s], np.matmul(xs, w_v.value), out=out_val[s])
 
     # The products below, the batched weight-gradient matmuls summed by
     # _unbroadcast and the q, k, v order of the sums into emb are those of
@@ -509,28 +674,39 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     # or another order, moves the low bits.
     def project_back(g, weight):
         # the gradient of one projection emb @ weight, given its output's
-        # gradient g, which reaches the products C-contiguous as it did there
-        g = np.ascontiguousarray(g)
+        # gradient g (B, n, d), C-contiguous as it was there
         if emb.requires_grad:
             _accum(emb, np.matmul(g, np.swapaxes(weight.value, -1, -2)))
         if weight.requires_grad:
             _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape))
 
+    def backward_slice(s, g, g_q, g_k, g_v):
+        # one slice's projection gradients, each temporary freed on return
+        xs, ws, gs = x[s], w[s], g[s]
+        kept = ws if k == n else np.where(mask[s], ws, 0.0)
+        np.matmul(np.swapaxes(kept, -1, -2), gs, out=g_v[s])
+        del kept
+        g_w = np.matmul(gs, np.swapaxes(np.matmul(xs, w_v.value), -1, -2))
+        if k < n:
+            g_w *= mask[s]
+        g_w -= (g_w * ws).sum(axis=-1, keepdims=True)
+        g_w *= ws
+        g_w *= c  # now the gradient of the scores Q K^T
+        np.matmul(g_w, np.matmul(xs, w_k.value), out=g_q[s])
+        g_k[s] = np.swapaxes(np.matmul(np.swapaxes(np.matmul(xs, w_q.value), -1, -2), g_w), -1, -2)
+
     def backward(g):
         g = g.reshape(b, n, d)
-        g_w = np.matmul(g, np.swapaxes(np.matmul(x, w_v.value), -1, -2))
-        g_v = np.matmul(np.swapaxes(w if k == n else np.where(mask, w, 0.0), -1, -2), g)
-        if k < n:
-            g_w *= mask
-        g_w -= (g_w * w).sum(axis=-1, keepdims=True)
-        g_w *= w
-        g_w *= c  # now the gradient of the scores Q K^T
-        project_back(np.matmul(g_w, np.matmul(x, w_k.value)), w_q)
-        q = np.matmul(x, w_q.value)
-        project_back(np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_w), -1, -2), w_k)
+        g_q, g_k, g_v = np.empty((b, n, d)), np.empty((b, n, d)), np.empty((b, n, d))
+        for s in _slices(b):
+            backward_slice(s, g, g_q, g_k, g_v)
+        project_back(g_q, w_q)
+        del g_q
+        project_back(g_k, w_k)
+        del g_k
         project_back(g_v, w_v)
 
-    return Tensor(out_val, (emb, w_q, w_k, w_v), backward), w, theta, mask
+    return Tensor(out_val.reshape(b, n * d), (emb, w_q, w_k, w_v), backward), w, theta, mask
 
 
 def gate_mix(e, enhanced, gate):

@@ -11,6 +11,7 @@ import numpy as np
 from . import data as data_mod
 from . import model as model_mod
 from .metrics import EvalResult, evaluate_scores
+from .model import is_count, is_real
 from .numerics import ParameterError, Rng
 
 
@@ -93,7 +94,14 @@ class OptimizerState:
 
 
 def optimizer_step(params, grads, state, lr):
-    """In-place Adam update with bias correction, or none if a gradient is NaN/Inf."""
+    """In-place Adam update with bias correction, or none if a gradient is NaN/Inf.
+
+    Each parameter, m and v are updated in place, through one scratch array
+    and the step, by the operations of m = b1 * m + (1 - b1) * g,
+    v = b2 * v + (1 - b2) * g * g and p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    in the same order, so the bits are those of that formula, which would
+    allocate a temporary the size of the parameter for every operation.
+    """
     for name, _ in params.named_params():
         if not np.all(np.isfinite(grads[name])):
             raise TrainingError(f"NaN/Inf gradient in {name}")
@@ -102,12 +110,21 @@ def optimizer_step(params, grads, state, lr):
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
     for name, p in params.named_params():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / c1
-        v_hat = state.v[name] / c2
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        scratch = np.multiply(g, 1 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        step = np.divide(m, c1)
+        step *= lr
+        step /= scratch
+        p.value -= step
 
 
 @dataclass
@@ -145,6 +162,25 @@ class TrainSettings:
     c_min: int = 2
     lr_floor: float = 1e-6
     fixed_k: int | None = None  # disable the curriculum, train at this k
+
+    def validate(self, n_fields):
+        """Reject the values a `delta train` run cannot use; fit itself
+        takes t_max=0 and returns the initial parameters."""
+        checks = [
+            ("batch_size", is_count(self.batch_size), "an integer >= 1"),
+            ("lr", is_real(self.lr) and self.lr > 0, "a number > 0"),
+            ("t_max", is_count(self.t_max), "an integer >= 1"),
+            ("delta", self.delta is None or is_count(self.delta), "null or an integer >= 1"),
+            ("lr_decay", is_real(self.lr_decay) and 0 < self.lr_decay < 1, "a number in (0, 1)"),
+            ("c_min", is_count(self.c_min), "an integer >= 1"),
+            ("lr_floor", is_real(self.lr_floor) and self.lr_floor >= 0, "a number >= 0"),
+            ("fixed_k", self.fixed_k is None or is_count(self.fixed_k) and self.fixed_k <= n_fields,
+             f"null or an integer in [1, {n_fields}]"),
+        ]
+        for name, ok, want in checks:
+            if not ok:
+                raise ParameterError(f"trainer {name} must be {want}, got {getattr(self, name)!r}")
+        return self
 
 
 def predict(params, dataset, k):

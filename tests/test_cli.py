@@ -159,6 +159,23 @@ class TestTrain:
         assert cli.main(["train", "--config", str(p)]) == 1
         assert f"error: config {where} must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("trainer", "fixed_k", 0), ("trainer", "fixed_k", 99), ("trainer", "lr_decay", 2),
+         ("trainer", "delta", 0), ("trainer", "c_min", 0), ("trainer", "t_max", 0), ("trainer", "lr", -1),
+         ("model", "embed_dim", 0), ("model", "embed_dim", -2), ("model", "tower1_layers", []),
+         ("model", "lambda", "x")],
+    )
+    def test_bad_trainer_or_model_value_exit_1(self, config_file, tmp_path, capsys, section, key, value):
+        raw = json.loads(config_file.read_text())
+        raw[section][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and json.dumps(value) in err.replace("'", '"')
+        assert not (tmp_path / "run.ckpt").exists()
+
     def test_lambda_default_half(self):
         assert cli.CONFIG_DEFAULTS["model"]["lambda"] == 0.5
         assert cli.CONFIG_DEFAULTS["trainer"]["batch_size"] == 4096

@@ -429,9 +429,13 @@ class TestConcurrentBranches:
     @pytest.mark.parametrize("scope", ["row", "global"])
     @pytest.mark.parametrize("variant", VARIANT_NAMES)
     def test_bit_identical_to_the_branches_run_inline(self, variant, scope, tmp_path, monkeypatch):
+        # forward and backward both run their paths inline, then backward
+        # walks the whole graph serially
         concurrent_run = self.fit(variant, scope, tmp_path, "concurrent")
-        monkeypatch.setattr(model_mod, "_branch_worker", InlineExecutor)
+        monkeypatch.setattr(nm, "_branch_worker", InlineExecutor)
         assert self.fit(variant, scope, tmp_path, "inline") == concurrent_run
+        monkeypatch.setattr(nm, "_split_paths", lambda order: None)
+        assert self.fit(variant, scope, tmp_path, "serial") == concurrent_run
 
     def record_paths(self, monkeypatch, params, fail=None, slow=None):
         """Wrap _tower_path: record (thread, output) by tower once its path
@@ -478,6 +482,47 @@ class TestConcurrentBranches:
             got = model_mod.delta_forward(idx, params, 2, mode=mode, rng=Rng(0)).y_main.value
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_exception_in_a_path2_closure_propagates_after_path1_ends(self, variant, monkeypatch):
+        params = ModelParams.init(tiny_config(variant=variant, dropout_rate=0.3), VOCABS, seed=2)
+        idx, labels = make_batch()
+
+        def step():
+            loss, grads = model_mod.backward_and_accumulate(idx, labels, params, 2, Rng(0))
+            return loss, {n: g.tobytes() for n, g in grads.items()}
+
+        want = step()
+        out = model_mod.delta_forward(idx, params, 2, mode="train", rng=Rng(0))
+        loss = model_mod.total_loss(model_mod.bce_loss(out.y_main, labels),
+                                    None if out.y_eeo is None else model_mod.bce_loss(out.y_eeo, labels), 0.5)
+        nodes, todo = {}, [loss]
+        while todo:
+            t = todo.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                todo.extend(t._parents)
+        path1 = [t for t in nodes.values() if t._path == 1]
+        path2 = [t for t in nodes.values() if t._path == 2]
+        assert path1 and path2
+
+        def slow(closure):
+            def run(g):
+                time.sleep(0.02)  # path 1 is still running when path 2 raises
+                closure(g)
+            return run
+
+        def boom(g):
+            raise Boom("path 2")
+
+        for t in path1:
+            t._backward = slow(t._backward)
+        for t in path2:
+            t._backward = boom
+        with pytest.raises(Boom, match="path 2"):
+            loss.backward()
+        assert all(t._backward is nm._consumed for t in path1)  # path 1's block had ended
+        assert step() == want
+
     def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
         """Six threads on two cores, the interpreter switching every
         microsecond: infer callers share one model, train callers each have
@@ -502,7 +547,7 @@ class TestConcurrentBranches:
                 super().__init__(*args, **kwargs)
                 pools.append(self)
 
-        monkeypatch.setattr(model_mod, "_branch_pool", None)
+        monkeypatch.setattr(nm, "_branch_pool", None)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
         wrong = []
 
@@ -576,6 +621,25 @@ class TestCheckpoint:
         a = model_mod.delta_forward(idx, params, 2, mode="infer")
         b = model_mod.delta_forward(idx, loaded, 2, mode="infer")
         assert np.array_equal(a.y_main.value, b.y_main.value)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_load_draws_nothing_and_saves_the_same_bytes(self, variant, tmp_path, monkeypatch):
+        params = ModelParams.init(tiny_config(variant=variant), VOCABS, seed=4)
+        path = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(path, params, extra={"k": 2})
+        idx, _ = make_batch()
+        want = model_mod.delta_forward(idx, params, 2).y_main.value
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        for name in ("uniform", "normal", "random", "integers", "permutation"):
+            monkeypatch.setattr(Rng, name, draw)
+        loaded, extra = model_mod.load_checkpoint(path, VOCABS)
+        got = model_mod.delta_forward(idx, loaded, extra["k"]).y_main.value
+        assert got.tobytes() == want.tobytes()
+        model_mod.save_checkpoint(tmp_path / "again.ckpt", loaded, extra=extra)
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         params = ModelParams.init(tiny_config(), VOCABS, seed=15)

@@ -382,15 +382,18 @@ class TestCtmHead:
     @pytest.mark.parametrize("scope", ["row", "global"])
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_bitwise_equal_to_composed_primitives(self, k, scope):
-        rng = Rng(20 + k)
-        emb = Tensor(rng.normal((5, 6, 3)))
-        head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
-        _, _, theta, mask = compare_heads(emb, head, k, scope)
-        if scope == "row":
-            assert np.all(mask.sum(axis=-1) == k)
-        else:
-            assert np.all(mask.sum(axis=(-2, -1)) == k * 6)
-        assert np.all(theta[~mask] == 0)
+        # batches within one of the head's slices, one instance into a
+        # second, and ending inside a third
+        for b in (5, nm.HEAD_SLICE + 1, 600):
+            rng = Rng(20 + k)
+            emb = Tensor(rng.normal((b, 6, 3)))
+            head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
+            _, _, theta, mask = compare_heads(emb, head, k, scope)
+            if scope == "row":
+                assert np.all(mask.sum(axis=-1) == k)
+            else:
+                assert np.all(mask.sum(axis=(-2, -1)) == k * 6)
+            assert np.all(theta[~mask] == 0)
 
     @pytest.mark.parametrize("scope", ["row", "global"])
     def test_k_equals_n_bitwise_equal_to_soft_attention(self, scope):

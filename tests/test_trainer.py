@@ -158,6 +158,25 @@ class TestOptimizerStep:
         for n in results[0]:
             assert np.array_equal(results[0][n], results[1][n])
 
+    def test_bit_equal_to_the_out_of_place_formula(self):
+        params, state = self.make()
+        values = params.copy_values()
+        m = {n: np.zeros_like(v) for n, v in values.items()}
+        v = {n: np.zeros_like(x) for n, x in values.items()}
+        rng = np.random.default_rng(0)
+        for t in range(1, 5):
+            grads = {n: rng.normal(size=x.shape) * 10.0 ** rng.integers(-9, 4, x.shape) for n, x in values.items()}
+            grads["gate1"][0] = 0.0
+            trainer_mod.optimizer_step(params, grads, state, lr=0.03)
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for n, g in grads.items():  # the formula the step evaluates in place
+                m[n] = 0.9 * m[n] + (1 - 0.9) * g
+                v[n] = 0.999 * v[n] + (1 - 0.999) * g * g
+                values[n] = values[n] - 0.03 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+            for n, p in params.named_params():
+                assert p.value.tobytes() == values[n].tobytes(), n
+                assert state.m[n].tobytes() == m[n].tobytes() and state.v[n].tobytes() == v[n].tobytes(), n
+
     def test_nan_gradient_aborts_with_name(self):
         params, state = self.make()
         grads = {n: np.zeros_like(p.value) for n, p in params.named_params()}
