@@ -4,7 +4,6 @@ branch never consumes its output."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import numerics as nm
@@ -22,27 +21,6 @@ class EeoBranch:
     layers: list[CrossLayerParams]
     head_weight: Tensor | None  # (m, 1); None when the cross output feeds the main branch
     head_bias: Tensor | None  # (1,)
-
-    @classmethod
-    def init(cls, m, depth, rng, name="eeo", head=True):
-        """Cross layers, then the scalar head (drawn last) unless head=False."""
-        if depth < 1:
-            raise DimensionError("cross-net depth must be >= 1")
-        s = 1.0 / math.sqrt(m)
-        layers = [
-            CrossLayerParams(
-                weight=Tensor(rng.uniform(-s, s, (m,)), name=f"{name}.cross{i}.weight"),
-                bias=Tensor(rng.uniform(-s, s, (m,)), name=f"{name}.cross{i}.bias"),
-            )
-            for i in range(depth)
-        ]
-        if not head:
-            return cls(layers=layers, head_weight=None, head_bias=None)
-        return cls(
-            layers=layers,
-            head_weight=Tensor(rng.uniform(-s, s, (m, 1)), name=f"{name}.head_weight"),
-            head_bias=Tensor([0.0], name=f"{name}.head_bias"),
-        )
 
 
 def cross_layer(x0, x_l, p):

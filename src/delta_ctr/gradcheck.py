@@ -7,6 +7,7 @@ oracle). Used by the `gradcheck` CLI command and the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,8 @@ def check_layers(tol=DEFAULT_TOL, seed=1):
     results = []
     n, d = 4, 3
     emb = Tensor(rng.normal((2, n, d)))
-    head = layers_mod.CtmHeadParams.init(d, rng.split("head"))
+    head_rng, s = rng.split("head"), 1.0 / math.sqrt(d)
+    head = layers_mod.CtmHeadParams(*(Tensor(head_rng.uniform(-s, s, (d, d))) for _ in "qkv"))
     weights = rng_fixed_weights((2, n * d))
 
     def ctm_loss(k, scope):
@@ -131,7 +133,10 @@ def check_layers(tol=DEFAULT_TOL, seed=1):
 
     m = 5
     x0 = Tensor(rng.normal((2, m)))
-    branch = eeo_mod.EeoBranch.init(m, depth=2, rng=rng.split("eeo"))
+    eeo_rng, s = rng.split("eeo"), 1.0 / math.sqrt(m)
+    cross = [eeo_mod.CrossLayerParams(Tensor(eeo_rng.uniform(-s, s, (m,))), Tensor(eeo_rng.uniform(-s, s, (m,))))
+             for _ in range(2)]
+    branch = eeo_mod.EeoBranch(cross, Tensor(eeo_rng.uniform(-s, s, (m, 1))), Tensor([0.0]))
     eeo_params = [x0]
     for p in branch.layers:
         eeo_params += [p.weight, p.bias]

@@ -21,17 +21,11 @@ class EmbeddingTable:
     """
 
     table: Tensor  # (sum(vocab_sizes), d)
-    offsets: np.ndarray  # (n_fields,)
     vocab_sizes: list[int]
-    dim: int
 
-    @classmethod
-    def init(cls, vocab_sizes, dim, rng, scale=None):
-        total = sum(vocab_sizes)
-        scale = 1.0 / math.sqrt(dim) if scale is None else scale
-        table = Tensor(rng.uniform(-scale, scale, (total, dim)), name="embedding")
-        offsets = np.concatenate([[0], np.cumsum(vocab_sizes[:-1])]).astype(np.int64)
-        return cls(table=table, offsets=offsets, vocab_sizes=list(vocab_sizes), dim=dim)
+    def __post_init__(self):
+        # (n_fields,): the first row of each field
+        self.offsets = np.concatenate([[0], np.cumsum(self.vocab_sizes[:-1])]).astype(np.int64)
 
 
 def embed_lookup(emb, indices):
@@ -53,23 +47,13 @@ class CtmHeadParams:
     w_k: Tensor
     w_v: Tensor
 
-    @classmethod
-    def init(cls, dim, rng, name="head"):
-        s = 1.0 / math.sqrt(dim)
-        return cls(
-            w_q=Tensor(rng.uniform(-s, s, (dim, dim)), name=f"{name}.w_q"),
-            w_k=Tensor(rng.uniform(-s, s, (dim, dim)), name=f"{name}.w_k"),
-            w_v=Tensor(rng.uniform(-s, s, (dim, dim)), name=f"{name}.w_v"),
-        )
-
 
 @dataclass
 class AttentionState:
     """Diagnostics from one CTM head on one batch."""
 
     weights: np.ndarray  # (B, n, n) softmax attention
-    truncated: np.ndarray  # (B, n, n) after top-k zeroing
-    kept_mask: np.ndarray  # (B, n, n) bool
+    kept_mask: np.ndarray  # (B, n, n) bool; the truncated weights are np.where(kept_mask, weights, 0)
     k: int
 
 
@@ -109,8 +93,8 @@ def ctm_forward(emb_batch, head, k, scope="row"):
     of shape (B, n*d), all in the one node ``numerics.ctm_head``. Returns
     (enhanced, AttentionState).
     """
-    out, w, theta, mask = nm.ctm_head(emb_batch, head.w_q, head.w_k, head.w_v, k, scope)
-    return out, AttentionState(weights=w, truncated=theta, kept_mask=mask, k=k)
+    out, w, mask = nm.ctm_head(emb_batch, head.w_q, head.w_k, head.w_v, k, scope)
+    return out, AttentionState(weights=w, kept_mask=mask, k=k)
 
 
 def soft_attention_forward(emb_batch, head):
@@ -121,13 +105,7 @@ def soft_attention_forward(emb_batch, head):
     w = attention_weights(emb_batch, head)
     v = nm.matmul(emb_batch, head.w_v)
     out = nm.reshape(nm.matmul(w, v), (b, n * d))
-    state = AttentionState(
-        weights=w.value,
-        truncated=w.value,
-        kept_mask=np.ones(w.value.shape, dtype=bool),
-        k=n,
-    )
-    return out, state
+    return out, AttentionState(weights=w.value, kept_mask=np.ones(w.value.shape, dtype=bool), k=n)
 
 
 def truncated_aggregate_sparse(theta_vals, kept_idx, v_vals):

@@ -97,29 +97,56 @@ def is_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _dense_init(fan_in, fan_out, rng, name):
-    s = 1.0 / math.sqrt(fan_in)
-    w = Tensor(rng.uniform(-s, s, (fan_in, fan_out)), name=f"{name}.w")
-    b = Tensor(np.zeros(fan_out), name=f"{name}.b")
-    return w, b
+class ParamRow(NamedTuple):  # one learnable tensor of a variant
+    name: str
+    shape: tuple[int, ...]
+    stream: tuple | None  # RNG stream path under ("params",); None: zeros
+    bound: float  # drawn uniform in [-bound, bound)
+    aux: bool  # belongs to the training-only auxiliary head
+
+
+def param_table(config, vocab_sizes):
+    """The variant's tensors in checkpoint order, the main branch first and
+    then the aux head. Rows that share a stream draw from it in table order;
+    each dense weight is drawn with bound 1/sqrt(fan_in), biases and gates
+    start at zero."""
+    config.validate()
+    if len(vocab_sizes) != config.n_fields:
+        raise ParameterError(f"{len(vocab_sizes)} vocab sizes for {config.n_fields} fields")
+    spec = VARIANTS[config.variant]
+    d, m = config.embed_dim, config.flat_dim
+
+    def drawn(name, shape, stream, fan_in, aux=False):
+        return ParamRow(name, shape, stream, 1.0 / math.sqrt(fan_in), aux)
+
+    def zeros(name, shape, aux=False):
+        return ParamRow(name, shape, None, 0.0, aux)
+
+    rows = [drawn("embedding", (int(sum(vocab_sizes)), d), ("embedding",), d)]
+    if spec.attention:
+        rows += [drawn(f"head{h}.w_{p}", (d, d), (f"head{h}",), d) for h in (1, 2) for p in "qkv"]
+    if spec.gate:
+        rows += [zeros("gate1", (m,)), zeros("gate2", (m,))]
+    for tag, sizes in (("tower1", config.tower1_layers), ("tower2", config.tower2_layers)):
+        for i, (fan_in, size) in enumerate(zip([m, *sizes], sizes)):
+            rows += [drawn(f"{tag}.dense{i}.w", (fan_in, size), (tag, i), fan_in),
+                     zeros(f"{tag}.dense{i}.b", (size,))]
+    final_in = config.tower1_layers[-1] + config.tower2_layers[-1] + (m if spec.concat_cross else 0)
+    rows += [drawn("final.w", (final_in, 1), ("final",), final_in), zeros("final.b", (1,))]
+    if spec.aux == "cross" or spec.concat_cross:
+        aux = spec.aux == "cross"  # else the cross-net output joins the towers'
+        for i in range(config.cross_depth):
+            rows += [drawn(f"eeo.cross{i}.{p}", (m,), ("eeo",), m, aux) for p in ("weight", "bias")]
+        if aux:
+            rows += [drawn("eeo.head_weight", (m, 1), ("eeo",), m, True), zeros("eeo.head_bias", (1,), True)]
+    if spec.aux == "fm":
+        rows.append(zeros("fm_bias", (1,), True))
+    return rows
 
 
 @dataclass
 class Mlp:
     layers: list[tuple[Tensor, Tensor]]
-
-    @classmethod
-    def init(cls, in_dim, sizes, rng, name):
-        layers = []
-        prev = in_dim
-        for i, size in enumerate(sizes):
-            layers.append(_dense_init(prev, size, rng.split(i), f"{name}.dense{i}"))
-            prev = size
-        return cls(layers=layers)
-
-    @property
-    def out_dim(self):
-        return self.layers[-1][0].shape[1]
 
     def forward(self, x, dropout_rate, rng, training):
         for i, (w, b) in enumerate(self.layers):
@@ -129,112 +156,78 @@ class Mlp:
         return x
 
 
-@dataclass
 class ModelParams:
-    """Learnable tensors of one variant; components it does not read are None."""
+    """Learnable tensors of one variant, by name in param_table order, with
+    views of them by component for the forward; components the variant
+    does not read are None."""
 
-    config: ModelConfig
-    embedding: EmbeddingTable
-    head1: CtmHeadParams | None
-    head2: CtmHeadParams | None
-    gate1: Tensor | None
-    gate2: Tensor | None
-    tower1: Mlp
-    tower2: Mlp
-    final_w: Tensor
-    final_b: Tensor
-    eeo: eeo_mod.EeoBranch | None  # cross-net, with a head when it is the aux branch
-    fm_bias: Tensor | None
+    def __init__(self, config, vocab_sizes, values):
+        """values maps each of param_table's names to an array of its shape;
+        the tensors hold those arrays, uncopied."""
+        self.config = config
+        self._rows = param_table(config, vocab_sizes)
+        differ = sorted(values.keys() ^ {r.name for r in self._rows})
+        if differ:
+            raise ParameterError(f"tensors {differ} not shared with a {config.variant} model")
+        for r in self._rows:
+            if np.shape(values[r.name]) != r.shape:
+                raise ParameterError(f"shape mismatch for {r.name}")
+        self._tensors = [Tensor(values[r.name], name=r.name) for r in self._rows]
+        t = dict(self.named_params())
+
+        def head(tag):
+            if f"{tag}.w_q" not in t:
+                return None
+            return CtmHeadParams(t[f"{tag}.w_q"], t[f"{tag}.w_k"], t[f"{tag}.w_v"])
+
+        def tower(tag, sizes):
+            return Mlp([(t[f"{tag}.dense{i}.w"], t[f"{tag}.dense{i}.b"]) for i in range(len(sizes))])
+
+        self.embedding = EmbeddingTable(t["embedding"], list(vocab_sizes))
+        self.head1, self.head2 = head("head1"), head("head2")
+        self.gate1, self.gate2 = t.get("gate1"), t.get("gate2")
+        self.tower1 = tower("tower1", config.tower1_layers)
+        self.tower2 = tower("tower2", config.tower2_layers)
+        self.final_w, self.final_b = t["final.w"], t["final.b"]
+        self.eeo = None  # the cross-net, with a head when it is the aux branch
+        if "eeo.cross0.weight" in t:
+            cross = [eeo_mod.CrossLayerParams(t[f"eeo.cross{i}.weight"], t[f"eeo.cross{i}.bias"])
+                     for i in range(config.cross_depth)]
+            self.eeo = eeo_mod.EeoBranch(cross, t.get("eeo.head_weight"), t.get("eeo.head_bias"))
+        self.fm_bias = t.get("fm_bias")
 
     @classmethod
     def init(cls, config, vocab_sizes, seed):
-        """Build the variant's learnable tensors from per-component RNG streams,
-        so the draws for any one component do not depend on which others exist."""
-        return cls._build(config, vocab_sizes, Rng(seed).split("params"))
-
-    @classmethod
-    def _build(cls, config, vocab_sizes, root):
-        config.validate()
-        if len(vocab_sizes) != config.n_fields:
-            raise ParameterError(
-                f"{len(vocab_sizes)} vocab sizes for {config.n_fields} fields"
-            )
-        spec = VARIANTS[config.variant]
-        d, m = config.embed_dim, config.flat_dim
-        tower1 = Mlp.init(m, config.tower1_layers, root.split("tower1"), "tower1")
-        tower2 = Mlp.init(m, config.tower2_layers, root.split("tower2"), "tower2")
-        final_in = tower1.out_dim + tower2.out_dim + (m if spec.concat_cross else 0)
-        final_w, final_b = _dense_init(final_in, 1, root.split("final"), "final")
-        eeo = None
-        if spec.aux == "cross" or spec.concat_cross:
-            head = spec.aux == "cross"
-            eeo = eeo_mod.EeoBranch.init(m, config.cross_depth, root.split("eeo"), head=head)
-        return cls(
-            config=config,
-            embedding=EmbeddingTable.init(vocab_sizes, d, root.split("embedding")),
-            head1=CtmHeadParams.init(d, root.split("head1"), "head1") if spec.attention else None,
-            head2=CtmHeadParams.init(d, root.split("head2"), "head2") if spec.attention else None,
-            gate1=Tensor(np.zeros(m), name="gate1") if spec.gate else None,
-            gate2=Tensor(np.zeros(m), name="gate2") if spec.gate else None,
-            tower1=tower1,
-            tower2=tower2,
-            final_w=final_w,
-            final_b=final_b,
-            eeo=eeo,
-            fm_bias=Tensor([0.0], name="fm_bias") if spec.aux == "fm" else None,
-        )
-
-    def _eeo_params(self):
-        eeo = self.eeo
-        out = []
-        for i, p in enumerate(eeo.layers):
-            out += [(f"eeo.cross{i}.weight", p.weight), (f"eeo.cross{i}.bias", p.bias)]
-        if eeo.head_weight is not None:
-            out += [("eeo.head_weight", eeo.head_weight), ("eeo.head_bias", eeo.head_bias)]
-        return out
-
-    def main_branch_params(self):
-        """(name, Tensor) pairs the inference path reads, in checkpoint order."""
-        spec = VARIANTS[self.config.variant]
-        out = [("embedding", self.embedding.table)]
-        if spec.attention:
-            for tag, h in (("head1", self.head1), ("head2", self.head2)):
-                out += [(f"{tag}.w_q", h.w_q), (f"{tag}.w_k", h.w_k), (f"{tag}.w_v", h.w_v)]
-        if spec.gate:
-            out += [("gate1", self.gate1), ("gate2", self.gate2)]
-        for tag, tower in (("tower1", self.tower1), ("tower2", self.tower2)):
-            for i, (w, b) in enumerate(tower.layers):
-                out += [(f"{tag}.dense{i}.w", w), (f"{tag}.dense{i}.b", b)]
-        out += [("final.w", self.final_w), ("final.b", self.final_b)]
-        if spec.concat_cross:
-            out += self._eeo_params()
-        return out
+        """Draw each param_table row from the stream ("params",) + its stream
+        path of seed, so the draws for any one component do not depend on
+        which others exist."""
+        streams, values = {}, {}
+        for r in param_table(config, vocab_sizes):
+            if r.stream is None:
+                values[r.name] = np.zeros(r.shape)
+                continue
+            if r.stream not in streams:
+                streams[r.stream] = Rng(seed, ("params",) + r.stream)
+            values[r.name] = streams[r.stream].uniform(-r.bound, r.bound, r.shape)
+        return cls(config, vocab_sizes, values)
 
     def named_params(self):
-        """Every learnable tensor by name: the main branch, then the aux head."""
-        spec = VARIANTS[self.config.variant]
-        out = self.main_branch_params()
-        if spec.aux == "cross":
-            out += self._eeo_params()
-        elif spec.aux == "fm":
-            out += [("fm_bias", self.fm_bias)]
-        return out
+        """Every learnable tensor by name, in checkpoint order."""
+        return [(r.name, p) for r, p in zip(self._rows, self._tensors)]
+
+    def main_branch_params(self):
+        """named_params without the aux head: what the inference path reads."""
+        return [(r.name, p) for r, p in zip(self._rows, self._tensors) if not r.aux]
 
     def zero_grads(self):
-        for _, p in self.named_params():
+        for p in self._tensors:
             p.zero_grad()
 
     def copy_values(self):
         return {n: p.value.copy() for n, p in self.named_params()}
 
     def load_values(self, values):
-        named = dict(self.named_params())
-        if named.keys() != values.keys():
-            differ = sorted(named.keys() ^ values.keys())
-            raise CheckpointError(f"tensors {differ} not shared with a {self.config.variant} model")
-        for n, p in named.items():
-            if p.value.shape != values[n].shape:
-                raise CheckpointError(f"shape mismatch for {n}")
+        for n, p in self.named_params():
             p.value = values[n].copy()
 
 
@@ -374,21 +367,12 @@ def save_checkpoint(path, params, extra=None):
         f.write(buf.getvalue())
 
 
-class _NoDraws:
-    """Stands in for the parameter Rng when every tensor is overwritten at
-    once: it draws nothing, and its zeros take no memory until written."""
-
-    def split(self, tag):
-        return self
-
-    def uniform(self, low, high, shape):
-        return np.zeros(shape)
-
-
 def load_checkpoint(path, vocab_sizes):
     """Any unreadable or mismatched checkpoint raises CheckpointError, and
     so does a header whose extra is not a JSON object or whose k (the
-    bottleneck the model was trained at, optional) is not in [1, n_fields]."""
+    bottleneck the model was trained at, optional) is not in [1, n_fields].
+    Each tensor's name and shape are checked against param_table before its
+    payload is read; nothing is drawn."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != CKPT_MAGIC:
@@ -401,7 +385,7 @@ def load_checkpoint(path, vocab_sizes):
         pos = 10 + hlen
         header = json.loads(buf[10:pos])
         config = ModelConfig.from_dict(header["config"])
-        params = ModelParams._build(config, vocab_sizes, _NoDraws())
+        shapes = {r.name: r.shape for r in param_table(config, vocab_sizes)}
         values = {}
         for _ in range(header["n_tensors"]):
             (nlen,) = struct.unpack_from("<H", buf, pos)
@@ -410,12 +394,16 @@ def load_checkpoint(path, vocab_sizes):
             (ndim,) = struct.unpack_from("<B", buf, pos)
             shape = struct.unpack_from(f"<{ndim}Q", buf, pos + 1)
             pos += 1 + 8 * ndim
-            count = int(np.prod(shape)) if ndim else 1
-            values[name] = np.frombuffer(buf, "<f8", count, pos).reshape(shape)
+            if name not in shapes or name in values:
+                raise ValueError(f"tensor {name!r} is not a {config.variant} model's, or repeats")
+            if shape != shapes[name]:
+                raise ValueError(f"shape mismatch for {name}: {shape}, expected {shapes[name]}")
+            count = math.prod(shape)
+            values[name] = np.frombuffer(buf, "<f8", count, pos).reshape(shape).copy()
             pos += 8 * count
         if pos != len(buf):
             raise ValueError(f"{len(buf) - pos} stray bytes after the last tensor")
-        params.load_values(values)
+        params = ModelParams(config, vocab_sizes, values)
         extra = header["extra"]
         if not isinstance(extra, dict):
             raise ValueError(f"header extra must be a JSON object, got {json.dumps(extra)}")

@@ -627,11 +627,12 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     flat index) without renormalizing; aggregates theta @ V and flattens
     to (B, n*d). At k=n every weight is kept and nothing is selected.
 
-    Returns (output Tensor, weights, truncated weights, kept mask). The
-    mask is constant in backward: gradient flows through kept weights only.
-    Backward keeps emb's value, the weights and the mask, and recomputes
-    the three projections from emb and the truncated weights from the
-    weights and the mask.
+    Returns (output Tensor, weights, kept mask); the truncated weights are
+    np.where(mask, weights, 0), which the head builds one slice at a time
+    and keeps none of. The mask is constant in backward: gradient flows
+    through kept weights only. Backward keeps emb's value, the weights and
+    the mask, and recomputes the three projections from emb and the
+    truncated weights from the weights and the mask.
 
     Forward and backward run over HEAD_SLICE instances at a time. Every op
     works per instance, so the bits do not depend on the slicing, except
@@ -647,10 +648,7 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         raise ParameterError(f"unknown truncation scope {scope!r}")
     c = 1.0 / math.sqrt(d)
     w = np.empty((b, n, n))
-    if k == n:
-        mask, theta = np.ones(w.shape, dtype=bool), w
-    else:
-        mask, theta = np.empty(w.shape, dtype=bool), np.empty(w.shape)
+    mask = np.ones(w.shape, dtype=bool) if k == n else np.empty(w.shape, dtype=bool)
     out_val = np.empty((b, n, d))
     for s in _slices(b):
         xs, ws = x[s], w[s]
@@ -659,13 +657,14 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         ws -= ws.max(axis=-1, keepdims=True)
         np.exp(ws, out=ws)
         ws /= ws.sum(axis=-1, keepdims=True)
+        theta = ws
         if k < n:
             if scope == "row":
                 mask[s] = topk_mask(ws, k)
             else:
                 mask[s] = topk_mask(ws.reshape(-1, n * n), k * n).reshape(ws.shape)
-            theta[s] = np.where(mask[s], ws, 0.0)
-        np.matmul(theta[s], np.matmul(xs, w_v.value), out=out_val[s])
+            theta = np.where(mask[s], ws, 0.0)
+        np.matmul(theta, np.matmul(xs, w_v.value), out=out_val[s])
 
     # The products below, the batched weight-gradient matmuls summed by
     # _unbroadcast and the q, k, v order of the sums into emb are those of
@@ -706,7 +705,7 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         del g_k
         project_back(g_v, w_v)
 
-    return Tensor(out_val.reshape(b, n * d), (emb, w_q, w_k, w_v), backward), w, theta, mask
+    return Tensor(out_val.reshape(b, n * d), (emb, w_q, w_k, w_v), backward), w, mask
 
 
 def gate_mix(e, enhanced, gate):

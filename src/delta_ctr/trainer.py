@@ -36,10 +36,9 @@ class CurriculumState:
     lr_decay: float = 0.1
     c_max: int = 1
     c_min: int = 2
-    strict_last_epoch_compare: bool = False  # compare vs last epoch instead of best
 
     @classmethod
-    def initial(cls, c_max, lr, delta=None, lr_decay=0.1, c_min=2, **kw):
+    def initial(cls, c_max, lr, delta=None, lr_decay=0.1, c_min=2):
         if delta is None:
             delta = max(1, math.ceil(c_max / 8))
         if not 0 < lr_decay < 1:
@@ -47,7 +46,7 @@ class CurriculumState:
         if delta < 1:
             raise ParameterError("delta must be >= 1")
         c_min = min(c_min, c_max)
-        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_max=c_max, c_min=c_min, **kw)
+        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_max=c_max, c_min=c_min)
 
 
 def curriculum_step(s, new_val_loss):
@@ -58,8 +57,7 @@ def curriculum_step(s, new_val_loss):
     bad epoch decays the learning rate and clears the flag. If it improved,
     the flag is cleared (a no-op on most paths, harmless) and the reference
     loss updates. The reference is the best loss seen so far, not the last
-    epoch's, to avoid double-triggering on oscillation; the last-epoch
-    comparison is available behind strict_last_epoch_compare.
+    epoch's, to avoid double-triggering on oscillation.
     """
     worse = new_val_loss > s.best_loss
     if worse:
@@ -69,8 +67,6 @@ def curriculum_step(s, new_val_loss):
             new = replace(s, lr=s.lr_decay * s.lr, flag=False)
     else:
         new = replace(s, flag=False)
-    if s.strict_last_epoch_compare:
-        return replace(new, best_loss=new_val_loss)
     return replace(new, best_loss=min(s.best_loss, new_val_loss))
 
 

@@ -196,8 +196,9 @@ def informative_share(params, dset, k, n_informative=2):
     out = model_mod.delta_forward(dset.indices[:5000], params, k, mode="infer")
     num = den = 0.0
     for s in (out.state1, out.state2):
-        num += s.truncated[:, :, :n_informative].sum(axis=-1).mean()
-        den += s.truncated.sum(axis=-1).mean()
+        theta = np.where(s.kept_mask, s.weights, 0.0)
+        num += theta[:, :, :n_informative].sum(axis=-1).mean()
+        den += theta.sum(axis=-1).mean()
     return float(num / den)
 
 

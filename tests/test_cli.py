@@ -243,6 +243,21 @@ class TestEval:
         assert rc == 1
         assert "stray bytes" in capsys.readouterr().err
 
+    def test_corrupt_tensor_shape_exit_1(self, prepped, tmp_path, capsys):
+        d, _ = data_mod.load_cache(prepped)
+        cfg = model_mod.ModelConfig(n_fields=3, embed_dim=2, tower1_layers=[4], tower2_layers=[4])
+        ckpt = tmp_path / "shape.ckpt"
+        model_mod.save_checkpoint(ckpt, model_mod.ModelParams.init(cfg, d.vocab_sizes, seed=0))
+        raw = bytearray(ckpt.read_bytes())
+        pos = 10 + int.from_bytes(raw[6:10], "little")  # the first tensor, "embedding"
+        high = pos + 2 + len(b"embedding") + 1 + 7  # the high byte of its first dimension
+        raw[high] ^= 0x80
+        ckpt.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(prepped)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shape mismatch for embedding" in err
+
     def test_missing_cache_or_checkpoint_exit_1(self, config_file, prepped, tmp_path, capsys):
         cli.main(["train", "--config", str(config_file)])
         ckpt, missing = tmp_path / "run.ckpt", tmp_path / "absent"

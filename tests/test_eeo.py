@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,14 @@ def eeo_reference(e_flat, branch):
     for p in branch.layers:
         x = x0 * (x @ p.weight.value)[:, None] + p.bias.value + x
     return x @ branch.head_weight.value[:, 0] + branch.head_bias.value[0]
+
+
+def make_branch(m, depth, rng):
+    """Cross layers (weight, then bias), then the head weight, drawn uniform
+    in +-1/sqrt(m) one after the other from rng; the head bias is 0."""
+    s = 1.0 / math.sqrt(m)
+    layers = [CrossLayerParams(*(Tensor(rng.uniform(-s, s, (m,))) for _ in "wb")) for _ in range(depth)]
+    return EeoBranch(layers, Tensor(rng.uniform(-s, s, (m, 1))), Tensor([0.0]))
 
 
 class TestCrossLayer:
@@ -59,7 +69,7 @@ class TestCrossLayer:
 class TestEeoForward:
     def test_all_zero_input_zero_bias_gives_head_bias(self):
         m = 6
-        branch = EeoBranch.init(m, depth=2, rng=Rng(3).split("b"))
+        branch = make_branch(m, 2, Rng(3).split("b"))
         for p in branch.layers:
             p.bias.value = np.zeros(m)
         branch.head_bias.value = np.array([0.37])
@@ -69,7 +79,7 @@ class TestEeoForward:
     def test_depth1_zero_weight_residual_only(self):
         m = 4
         rng = Rng(4)
-        branch = EeoBranch.init(m, depth=1, rng=rng.split("b"))
+        branch = make_branch(m, 1, rng.split("b"))
         branch.layers[0].weight.value = np.zeros(m)
         branch.layers[0].bias.value = np.zeros(m)
         x = rng.normal((3, m))
@@ -80,7 +90,7 @@ class TestEeoForward:
     def test_matches_straight_line_reference(self):
         m = 8
         rng = Rng(5)
-        branch = EeoBranch.init(m, depth=3, rng=rng.split("b"))
+        branch = make_branch(m, 3, rng.split("b"))
         x = rng.normal((4, m))
         out = eeo_mod.eeo_forward(Tensor(x), branch)
         np.testing.assert_allclose(out.value, eeo_reference(x, branch), atol=1e-12)

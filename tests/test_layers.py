@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,15 @@ from delta_ctr.numerics import DimensionError, ParameterError, Rng, Tensor
 
 
 def make_emb(vocab_sizes=(5, 4, 6), d=3, seed=0):
-    return EmbeddingTable.init(list(vocab_sizes), d, Rng(seed).split("emb"))
+    s = 1.0 / math.sqrt(d)
+    table = Tensor(Rng(seed).split("emb").uniform(-s, s, (sum(vocab_sizes), d)))
+    return EmbeddingTable(table, list(vocab_sizes))
+
+
+def make_head(d, rng):
+    """Q, K, V drawn uniform in +-1/sqrt(d), one after the other from rng."""
+    s = 1.0 / math.sqrt(d)
+    return CtmHeadParams(*(Tensor(rng.uniform(-s, s, (d, d))) for _ in "qkv"))
 
 
 class TestEmbedLookup:
@@ -46,7 +56,7 @@ class TestCtmForward:
     def test_k_equals_n_matches_soft_attention_bitwise(self):
         rng = Rng(3)
         emb = Tensor(rng.normal((4, 5, 3)))
-        head = CtmHeadParams.init(3, rng.split("h"))
+        head = make_head(3, rng.split("h"))
         trunc, _ = layers_mod.ctm_forward(emb, head, k=5)
         soft, _ = layers_mod.soft_attention_forward(emb, head)
         assert np.array_equal(trunc.value, soft.value)
@@ -55,7 +65,7 @@ class TestCtmForward:
         rng = Rng(4)
         n, d = 4, 3
         emb = Tensor(rng.normal((1, n, d)))
-        head = CtmHeadParams.init(d, rng.split("h"))
+        head = make_head(d, rng.split("h"))
         head.w_q.value = np.zeros((d, d))
         head.w_k.value = np.zeros((d, d))
         out, state = layers_mod.ctm_forward(emb, head, k=n)
@@ -75,7 +85,7 @@ class TestCtmForward:
     def test_bad_k(self):
         rng = Rng(5)
         emb = Tensor(rng.normal((1, 3, 2)))
-        head = CtmHeadParams.init(2, rng.split("h"))
+        head = make_head(2, rng.split("h"))
         with pytest.raises(ParameterError):
             layers_mod.ctm_forward(emb, head, k=0)
         with pytest.raises(ParameterError):
@@ -84,7 +94,7 @@ class TestCtmForward:
     def test_gradients_vs_finite_differences(self):
         rng = Rng(6)
         emb = Tensor(rng.normal((2, 4, 3)))
-        head = CtmHeadParams.init(3, rng.split("h"))
+        head = make_head(3, rng.split("h"))
         weights = rng.normal((2, 12))
 
         def f():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import os
 import sys
 import threading
@@ -174,6 +175,29 @@ class TestVariantTable:
         every, main = names_from_table(cfg)
         assert [n for n, _ in params.named_params()] == every
         assert [n for n, _ in params.main_branch_params()] == main
+        rows = model_mod.param_table(cfg, VOCABS)
+        assert [(r.name, r.shape) for r in rows] == [(n, p.shape) for n, p in params.named_params()]
+
+    # sha256 of each tensor's name, shape and value bytes, in named_params
+    # order, for n=3, d=2, towers [4, 3]/[4], cross depth 2, seed 7: any
+    # change to a stream, a draw's order or bound, or the tensor order moves
+    # them (full and ctm_soft hold the same tensors)
+    INIT_SHA256 = {
+        "full": "759fc65a75ae0c92b0ad603a7e165617e21d7cf90fd07300767a9687fbf1e63e",
+        "ctm_soft": "759fc65a75ae0c92b0ad603a7e165617e21d7cf90fd07300767a9687fbf1e63e",
+        "no_efg": "341ed5c849d7200a5e3e70867350bd9eef2e714e75a6cbfcc620edeb6d53740e",
+        "eeo_concat": "6147009b593d9cfbc5fc69069b0fffafbaf33120c558c5ef7327904964efc965",
+        "eeo_fm": "fb9b862da91a0140d06588c9b2dc4bc80baeac9b224359f28bd01485848dd7d4",
+        "mlp_only": "6fa6b9a72dd3dd5ba91fe5930d98d16de44edfb6db88ec781393012bf4623208",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_init_bits_are_pinned(self, variant):
+        cfg = tiny_config(variant=variant, tower1_layers=[4, 3])
+        h = hashlib.sha256()
+        for name, p in ModelParams.init(cfg, VOCABS, seed=7).named_params():
+            h.update(f"{name} {p.value.shape} ".encode() + p.value.tobytes())
+        assert h.hexdigest() == self.INIT_SHA256[variant]
 
     def test_variants_drop_what_they_never_read(self):
         """Tensors each variant lacks, out of all a variant can hold, at cross depth 3."""
@@ -697,6 +721,29 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 model_mod.load_checkpoint(cut, VOCABS)
 
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_every_prefix_and_high_bit_flip_loads_or_is_a_checkpoint_error(self, variant, tmp_path):
+        """A cut file never loads; a byte with its top bit flipped either
+        loads (a payload byte: v2 has no checksum) or raises CheckpointError,
+        never another error, whatever it hits (a shape dimension included)."""
+        p = tmp_path / "m.ckpt"
+        model_mod.save_checkpoint(p, ModelParams.init(tiny_config(variant=variant), VOCABS, seed=24), {"k": 2})
+        raw = p.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for size in range(len(raw)):
+            bad.write_bytes(raw[:size])
+            with pytest.raises(CheckpointError):
+                model_mod.load_checkpoint(bad, VOCABS)
+        loaded = 0
+        for i in range(len(raw)):
+            bad.write_bytes(raw[:i] + bytes([raw[i] ^ 0x80]) + raw[i + 1 :])
+            try:
+                model_mod.load_checkpoint(bad, VOCABS)
+                loaded += 1
+            except CheckpointError:
+                pass
+        assert 0 < loaded < len(raw)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "m.ckpt"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,7 +359,16 @@ def composed_head(emb, head, k, scope):
 
 
 def fused_head(emb, head, k, scope):
-    return nm.ctm_head(emb, head.w_q, head.w_k, head.w_v, k, scope)
+    """The fused head's (out, weights, truncated weights, mask), θ derived
+    from the weights and the mask."""
+    out, w, mask = nm.ctm_head(emb, head.w_q, head.w_k, head.w_v, k, scope)
+    return out, w, np.where(mask, w, 0.0), mask
+
+
+def make_head(d, rng):
+    """Q, K, V drawn uniform in +-1/sqrt(d), one after the other from rng."""
+    s = 1.0 / math.sqrt(d)
+    return layers_mod.CtmHeadParams(*(Tensor(rng.uniform(-s, s, (d, d))) for _ in "qkv"))
 
 
 def compare_heads(emb, head, k, scope, reference=composed_head):
@@ -387,7 +398,7 @@ class TestCtmHead:
         for b in (5, nm.HEAD_SLICE + 1, 600):
             rng = Rng(20 + k)
             emb = Tensor(rng.normal((b, 6, 3)))
-            head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
+            head = make_head(3, rng.split("h"))
             _, _, theta, mask = compare_heads(emb, head, k, scope)
             if scope == "row":
                 assert np.all(mask.sum(axis=-1) == k)
@@ -399,21 +410,22 @@ class TestCtmHead:
     def test_k_equals_n_bitwise_equal_to_soft_attention(self, scope):
         rng = Rng(30)
         emb = Tensor(rng.normal((4, 5, 3)))
-        head = layers_mod.CtmHeadParams.init(3, rng.split("h"))
+        head = make_head(3, rng.split("h"))
 
         def soft(emb, head, k, scope):
             out, state = layers_mod.soft_attention_forward(emb, head)
-            return out, state.weights, state.truncated, state.kept_mask
+            return out, state.weights, state.weights, state.kept_mask
 
         _, w, theta, mask = compare_heads(emb, head, 5, scope, reference=soft)
-        assert mask.all() and theta is w
+        assert mask.all()
+        assert_same_bits(theta, w)
 
     @pytest.mark.parametrize("scope", ["row", "global"])
     def test_backward_keeps_weights_and_mask_but_not_truncated_weights(self, scope):
         rng = Rng(40)
         emb = Tensor(rng.normal((3, 5, 2)))
-        head = layers_mod.CtmHeadParams.init(2, rng.split("h"))
-        out, w, theta, mask = fused_head(emb, head, 2, scope)
+        head = make_head(2, rng.split("h"))
+        out, w, mask = nm.ctm_head(emb, head.w_q, head.w_k, head.w_v, 2, scope)
         kept, todo = [], [out._backward]
         while todo:  # the closure's cells, and those of the functions it holds
             for cell in getattr(todo.pop(), "__closure__", None) or ():
@@ -421,7 +433,9 @@ class TestCtmHead:
                 if callable(cell.cell_contents):
                     todo.append(cell.cell_contents)
         assert any(v is w for v in kept) and any(v is mask for v in kept)
-        assert not any(v is theta for v in kept)
+        # no other (B, n, n) array, such as the truncated weights
+        assert not any(isinstance(v, np.ndarray) and v.shape == w.shape and v is not w and v is not mask
+                       for v in kept)
 
     def test_unknown_scope(self):
         w = Tensor(np.eye(2))

@@ -114,13 +114,6 @@ class TestCurriculumStep:
                 visited.append(s.c)
         assert visited == [39, 34, 29, 24, 19, 14]
 
-    def test_strict_last_epoch_mode(self):
-        s = CurriculumState.initial(c_max=10, lr=1e-4, delta=1, strict_last_epoch_compare=True)
-        s = curriculum_step(s, 0.5)
-        s = curriculum_step(s, 0.4)
-        s = curriculum_step(s, 0.45)  # worse than last epoch though better than 0.5
-        assert s.c == 9
-
 
 class TestOptimizerStep:
     def make(self):
