@@ -114,12 +114,12 @@ def read_raw(path):
             if len(row) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
             try:
-                y = int(float(row[label_col]))
+                y = float(row[label_col])
             except ValueError:
-                raise DataError(f"{path}:{lineno}: bad label {row[label_col]!r}") from None
-            if y not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label must be 0/1, got {y}")
-            labels.append(y)
+                y = None
+            if y not in (0.0, 1.0):  # so neither 0.7, 1.5 nor inf passes
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[label_col]!r}")
+            labels.append(int(y))
             rows.append(row)
     columns = list(zip(*rows)) or [()] * len(header)
     del columns[label_col]
@@ -237,6 +237,8 @@ def save_cache(path, d, splits=None):
 
 
 def load_cache(path):
+    """The dataset and split tags a save_cache file holds; DataError if
+    the file is not one, or a row's values are out of range."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != CACHE_MAGIC:
@@ -259,4 +261,27 @@ def load_cache(path):
         labels=rows["label"].copy(),
         vocab_sizes=vocab_sizes,
     )
-    return d, rows["split"].copy()
+    splits = rows["split"].copy()
+    _check_rows(path, d, splits)
+    return d, splits
+
+
+def _check_rows(path, d, splits):
+    """Raise DataError unless every index is in [0, vocab size) of its
+    field, every label 0 or 1 and every split tag 0, 1 or 2."""
+    if not len(d):
+        return
+    # read as unsigned, a negative index is 2**31 or more: at or above
+    # every size, once sizes are capped at 2**31
+    sizes = np.minimum(d.vocab_sizes, 2**31).astype(np.uint32)
+    as_unsigned = d.indices.view(np.uint32)
+    bad = np.flatnonzero(as_unsigned.max(axis=0) >= sizes)
+    if bad.size:
+        f = bad[0]
+        r = np.flatnonzero(as_unsigned[:, f] >= sizes[f])[0]
+        raise DataError(f"{path}: row {r}: index {d.indices[r, f]} of field {f} "
+                        f"outside [0, {d.vocab_sizes[f]})")
+    for name, values, top in (("label", d.labels, 1), ("split tag", splits, 2)):
+        if values.max() > top:
+            r = np.flatnonzero(values > top)[0]
+            raise DataError(f"{path}: row {r}: {name} {values[r]} is not in 0..{top}")

@@ -553,12 +553,15 @@ def topk_mask(w_val, k):
     The mask is the one a stable sort on descending values gives: ties at
     the k-th weight break toward the lower column index, and NaN ranks
     below every number. k=n keeps everything without a selection pass.
-    Otherwise each row's k-th largest value comes from a partition (O(n)
-    per row) and the row keeps every entry at or above it. A row that
-    keeps exactly k entries that way keeps the stable sort's k (nothing
-    it drops is equal to what it keeps, and NaN compares false). The rare
-    rows that keep another count (extra ties at the cutoff, or a NaN that
-    the partition ranks on top) are sorted instead.
+    Otherwise each row keeps every entry at or above its k-th largest
+    value. A row that keeps exactly k entries that way keeps the stable
+    sort's k (nothing it drops is equal to what it keeps, and NaN compares
+    false); the rare other rows, with a tie at the cutoff or a NaN, take
+    the stable sort itself.
+
+    The k-th value and the one below it come from a sorted copy of each
+    row (np.sort puts NaN last). A row is redone when those two are equal
+    or when it has a NaN: a superset of the rows that keep another count.
     """
     n = w_val.shape[-1]
     if not 1 <= k <= n:
@@ -566,8 +569,9 @@ def topk_mask(w_val, k):
     if k == n:
         return np.ones(w_val.shape, dtype=bool)
     rows = w_val.reshape(-1, n)
-    mask = rows >= np.partition(rows, n - k, axis=-1)[:, n - k, None]
-    redo = np.flatnonzero(mask.sum(axis=-1) != k)
+    srt = np.sort(rows, axis=-1)
+    mask = rows >= srt[:, n - k, None]
+    redo = np.flatnonzero((srt[:, n - k - 1] == srt[:, n - k]) | np.isnan(srt[:, -1]))
     if redo.size:
         order = np.argsort(-rows[redo], axis=-1, kind="stable")
         mask[redo] = False
@@ -590,6 +594,14 @@ def topk_truncate(w, k):
     return out, mask
 
 
+def _relu_inplace(a):
+    """Set a to relu(a), bit for bit as np.where(a > 0, a, 0.0) but
+    cheaper: np.fmax sends NaN and negatives to 0, and adding +0.0 turns
+    a -0.0 it keeps (in some positions of an array) into +0.0."""
+    np.fmax(a, 0.0, out=a)
+    a += 0.0
+
+
 def dense(x, w, b):
     """relu(x @ w + b) as one node. Backward keeps x, w and the output,
     whose positive entries are the ones the ReLU passed."""
@@ -598,7 +610,7 @@ def dense(x, w, b):
         raise DimensionError(f"dense: inner dims differ, {x.shape} x {w.shape}")
     out_val = np.matmul(x.value, w.value)
     out_val += b.value
-    np.copyto(out_val, 0.0, where=~(out_val > 0))  # gradient is 0 at exactly 0
+    _relu_inplace(out_val)  # gradient is 0 at exactly 0
 
     def backward(g):
         g = g * (out_val > 0)
@@ -618,6 +630,12 @@ def _slices(b):
     return [slice(lo, min(lo + HEAD_SLICE, b)) for lo in range(0, b, HEAD_SLICE)]
 
 
+def _truncated(ws, mask, nan):
+    """np.where(mask, ws, 0.0) for softmax weights ws, as the cheaper
+    product ws * mask unless ws holds a NaN, the one value it differs on."""
+    return np.where(mask, ws, 0.0) if nan else ws * mask
+
+
 def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     """One truncated attention head over emb (B, n, d) as one node.
 
@@ -629,9 +647,12 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
 
     Returns (output Tensor, weights, kept mask); the truncated weights are
     np.where(mask, weights, 0), which the head builds one slice at a time
-    and keeps none of. The mask is constant in backward: gradient flows
-    through kept weights only. Backward keeps emb's value, the weights and
-    the mask, and recomputes the three projections from emb and the
+    and keeps none of. It builds them as weights * mask, which has the same
+    bits wherever no weight is NaN (weights are in [0, 1], so w * False is
+    +0.0); a slice with a NaN row (a NaN or infinite score) keeps np.where.
+    The mask is constant in backward: gradient flows through kept weights
+    only. Backward keeps emb's value, the weights, the mask and one NaN flag
+    per slice, and recomputes the three projections from emb and the
     truncated weights from the weights and the mask.
 
     Forward and backward run over HEAD_SLICE instances at a time. Every op
@@ -650,20 +671,24 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     w = np.empty((b, n, n))
     mask = np.ones(w.shape, dtype=bool) if k == n else np.empty(w.shape, dtype=bool)
     out_val = np.empty((b, n, d))
-    for s in _slices(b):
+    slices = _slices(b)
+    has_nan = []  # per slice: does a weight row hold NaN
+    for s in slices:
         xs, ws = x[s], w[s]
         np.matmul(np.matmul(xs, w_q.value), np.swapaxes(np.matmul(xs, w_k.value), -1, -2), out=ws)
         ws *= c
         ws -= ws.max(axis=-1, keepdims=True)
         np.exp(ws, out=ws)
-        ws /= ws.sum(axis=-1, keepdims=True)
+        sums = ws.sum(axis=-1, keepdims=True)  # NaN exactly where its row holds a NaN
+        ws /= sums
+        has_nan.append(bool(np.isnan(sums).any()))
         theta = ws
         if k < n:
             if scope == "row":
                 mask[s] = topk_mask(ws, k)
             else:
                 mask[s] = topk_mask(ws.reshape(-1, n * n), k * n).reshape(ws.shape)
-            theta = np.where(mask[s], ws, 0.0)
+            theta = _truncated(ws, mask[s], has_nan[-1])
         np.matmul(theta, np.matmul(xs, w_v.value), out=out_val[s])
 
     # The products below, the batched weight-gradient matmuls summed by
@@ -679,10 +704,10 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         if weight.requires_grad:
             _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape))
 
-    def backward_slice(s, g, g_q, g_k, g_v):
+    def backward_slice(s, nan, g, g_q, g_k, g_v):
         # one slice's projection gradients, each temporary freed on return
         xs, ws, gs = x[s], w[s], g[s]
-        kept = ws if k == n else np.where(mask[s], ws, 0.0)
+        kept = ws if k == n else _truncated(ws, mask[s], nan)
         np.matmul(np.swapaxes(kept, -1, -2), gs, out=g_v[s])
         del kept
         g_w = np.matmul(gs, np.swapaxes(np.matmul(xs, w_v.value), -1, -2))
@@ -697,8 +722,8 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     def backward(g):
         g = g.reshape(b, n, d)
         g_q, g_k, g_v = np.empty((b, n, d)), np.empty((b, n, d)), np.empty((b, n, d))
-        for s in _slices(b):
-            backward_slice(s, g, g_q, g_k, g_v)
+        for s, nan in zip(slices, has_nan):
+            backward_slice(s, nan, g, g_q, g_k, g_v)
         project_back(g_q, w_q)
         del g_q
         project_back(g_k, w_k)

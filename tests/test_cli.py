@@ -87,6 +87,15 @@ class TestPrep:
         assert "3" in capsys.readouterr().err  # line number
 
 
+    @pytest.mark.parametrize("label", ["1.5", "0.7", "inf"])
+    def test_label_not_0_or_1_exit_1(self, tmp_path, capsys, label):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"label,a\n1,x\n0,y\n{label},z\n")
+        rc = cli.main(["prep", "--input", str(bad), "--output", str(tmp_path / "o.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:4: label must be 0 or 1, got {label!r}\n"
+        assert not (tmp_path / "o.bin").exists()
+
     def test_missing_input_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         rc = cli.main(["prep", "--input", str(missing), "--output", str(tmp_path / "o.bin")])
@@ -274,6 +283,26 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "run.ckpt"), "--data", str(prepped)])
         assert rc == 1
 
+
+    @pytest.mark.parametrize("column, value, says", [
+        ("idx", 99, "index 99 of field 0"),
+        ("label", 128, "label 128 is not in 0..1"),
+        ("split", 7, "split tag 7 is not in 0..2"),
+    ])
+    def test_out_of_range_cache_value_exit_1(self, config_file, prepped, tmp_path, capsys,
+                                              column, value, says):
+        cli.main(["train", "--config", str(config_file)])
+        raw = bytearray(prepped.read_bytes())
+        nf = int.from_bytes(raw[6:8], "little")
+        row = 16 + 4 * nf  # the first row: nf int32 indices, a label byte, a split byte
+        offset = {"idx": row, "label": row + 4 * nf, "split": row + 4 * nf + 1}[column]
+        raw[offset] = value
+        prepped.write_bytes(bytes(raw))
+        capsys.readouterr()
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "run.ckpt"), "--data", str(prepped)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prepped}: row 0: ") and says in err
 
     @pytest.mark.parametrize("extra, says", [
         ({"k": 0}, "k must be an integer in [1, 3], got 0"),

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import struct
 
 import numpy as np
@@ -219,6 +220,18 @@ class TestRawIO:
         with pytest.raises(DataError, match="label"):
             data_mod.read_raw(p)
 
+    @pytest.mark.parametrize("label", ["1.5", "0.7", "inf", "-inf", "nan", "-1", "1e400", "x", ""])
+    def test_label_not_exactly_0_or_1_reports_line(self, tmp_path, label):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"label,color\n1,red\n{label},blue\n")
+        with pytest.raises(DataError, match=f":3: label must be 0 or 1, got {label!r}"):
+            data_mod.read_raw(p)
+
+    def test_labels_that_parse_to_0_or_1_accepted(self, tmp_path):
+        p = tmp_path / "ok.csv"
+        p.write_text("label,color\n0.0,a\n1.0,b\n1e0,c\n-0,d\n 1,e\n")
+        assert data_mod.read_raw(p)[1] == [0, 1, 1, 0, 1]
+
 
 PREP_CASES = {
     # three tokens with two occurrences each, so order falls to the token
@@ -284,6 +297,45 @@ class TestCache:
         p = tmp_path / "cache.bin"
         data_mod.save_cache(p, d, splits)
         assert p.read_bytes() == expected
+
+    @pytest.mark.parametrize("field, value, says", [
+        (1, 7, "row 4: index 7 of field 1 outside [0, 7)"),
+        (2, -1, "row 4: index -1 of field 2 outside [0, 7)"),
+        (0, -2**31, "index -2147483648 of field 0"),
+    ])
+    def test_index_outside_its_vocabulary_raises(self, tmp_path, field, value, says):
+        d = data_mod.generate_synthetic(3, 2, 7, 10, seed=6)
+        d.indices[4, field] = value
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d)
+        with pytest.raises(DataError, match=re.escape(says)):
+            data_mod.load_cache(p)
+
+    @pytest.mark.parametrize("value", [2, 128, 255])
+    def test_label_not_0_or_1_raises(self, tmp_path, value):
+        d = data_mod.generate_synthetic(3, 2, 7, 10, seed=6)
+        d.labels[9] = value
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d)
+        with pytest.raises(DataError, match=f"row 9: label {value} is not in 0..1"):
+            data_mod.load_cache(p)
+
+    @pytest.mark.parametrize("value", [3, 255])
+    def test_split_tag_not_0_1_or_2_raises(self, tmp_path, value):
+        d = data_mod.generate_synthetic(3, 2, 7, 10, seed=6)
+        splits = np.zeros(10, dtype=np.uint8)
+        splits[0] = value
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d, splits)
+        with pytest.raises(DataError, match=f"row 0: split tag {value} is not in 0..2"):
+            data_mod.load_cache(p)
+
+    def test_empty_cache_loads(self, tmp_path):
+        d = data_mod.generate_synthetic(3, 2, 7, 10, seed=6).subset(np.arange(0))
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d)
+        loaded, splits = data_mod.load_cache(p)
+        assert len(loaded) == 0 and splits.size == 0
 
     def test_cut_cache_raises_data_error(self, tmp_path):
         d = data_mod.generate_synthetic(4, 2, 7, 30, seed=5)

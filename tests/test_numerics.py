@@ -264,7 +264,7 @@ def topk_oracle(w, k):
 
 
 # few distinct values, so that ties at the cutoff are common
-TIED_VALUES = [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, np.inf]
+TIED_VALUES = [0.0, -0.0, 0.125, 0.25, 0.5, 1.0, np.inf, -np.inf]
 
 
 @st.composite
@@ -407,6 +407,28 @@ class TestCtmHead:
             assert np.all(theta[~mask] == 0)
 
     @pytest.mark.parametrize("scope", ["row", "global"])
+    def test_nan_instance_in_the_second_slice(self, scope, monkeypatch):
+        # the second slice holds only the NaN instance, and the first none
+        b = nm.HEAD_SLICE + 1
+        rng = Rng(50)
+        emb = Tensor(rng.normal((b, 6, 3)))
+        emb.value[-1, 2, 0] = np.nan
+        head = make_head(3, rng.split("h"))
+        flags, truncated = [], nm._truncated
+        monkeypatch.setattr(nm, "_truncated", lambda ws, mask, nan: flags.append(nan) or truncated(ws, mask, nan))
+        _, w, theta, mask = compare_heads(emb, head, 2, scope)
+        assert np.isnan(w[-1]).all() and not np.isnan(w[:-1]).any()
+        assert np.all(theta[~mask] == 0)
+        # np.where in the NaN slice only: two forwards and one backward
+        assert flags == [False, True] * 3
+
+    def test_truncated_weights_are_np_where(self):
+        w = np.array([[[0.25, 0.0, 0.75], [np.nan, np.nan, np.nan]]])
+        mask = np.array([[[True, True, False], [True, False, False]]])
+        assert_same_bits(nm._truncated(w, mask, True), np.where(mask, w, 0.0))
+        assert_same_bits(nm._truncated(w[:, :1], mask[:, :1], False), np.where(mask[:, :1], w[:, :1], 0.0))
+
+    @pytest.mark.parametrize("scope", ["row", "global"])
     def test_k_equals_n_bitwise_equal_to_soft_attention(self, scope):
         rng = Rng(30)
         emb = Tensor(rng.normal((4, 5, 3)))
@@ -465,6 +487,9 @@ class TestCtmHead:
         assert_same_bits(theta, np.where(mask, w, 0.0))
 
 
+SPECIAL_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.0, -2.0]
+
+
 class TestDense:
     def test_bitwise_equal_to_composed_primitives(self):
         rng = Rng(40)
@@ -481,6 +506,38 @@ class TestDense:
         for a, c in zip(nm.grad_of(lambda: nm.tsum(nm.mul(nm.dense(x, w, b), upstream)), [x, w, b]),
                         nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), [x, w, b])):
             assert_same_bits(a, c)
+
+    def test_special_preactivations_bitwise_equal_to_composed_primitives(self):
+        # x @ w + b with x = 1 and b = -0.0 gives w's entries as preactivations
+        # (but +0.0 for -0.0: the product sums from +0.0)
+        x = Tensor(np.ones((3, 1)))
+        w = Tensor(np.array([SPECIAL_VALUES]))
+        b = Tensor(np.full(len(SPECIAL_VALUES), -0.0))
+        upstream = np.arange(3 * len(SPECIAL_VALUES), dtype=np.float64).reshape(3, -1) - 7.0
+
+        def composed():
+            return nm.relu(nm.add(nm.matmul(x, w), b))
+
+        out = nm.dense(x, w, b).value
+        assert_same_bits(out, composed().value)
+        want = np.array([0.0, 0.0, np.inf, 0.0, 0.0, 0.0, 5e-324, 0.0, 2.0, 0.0])
+        assert_same_bits(out, np.broadcast_to(want, out.shape).copy())  # every zero +0.0
+        with np.errstate(invalid="ignore"):  # x's gradient reads w's NaN and inf
+            got = nm.grad_of(lambda: nm.tsum(nm.mul(nm.dense(x, w, b), upstream)), [x, w, b])
+            expected = nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), [x, w, b])
+        for a, c in zip(got, expected):
+            assert_same_bits(a, c)
+
+    def test_relu_bitwise_equal_to_relu_primitive_at_every_position(self):
+        # dense cannot be fed a -0.0 preactivation; np.fmax keeps -0.0 at
+        # some positions of an array and not at others
+        for length in range(1, 20):
+            for v in SPECIAL_VALUES:
+                a = np.full(length, v)
+                a[length // 2] = -v
+                want = nm.relu(Tensor(a)).value
+                nm._relu_inplace(a)
+                assert_same_bits(a, want)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
