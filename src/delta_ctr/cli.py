@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -21,32 +22,26 @@ from . import model as model_mod
 from . import trainer as trainer_mod
 from .numerics import ParameterError
 
+# Config keys that differ from the ModelConfig or TrainSettings field they set.
+_FIELD = {"lambda": "lam"}
+
+
+def _section_defaults(cls):
+    """A config section's keys and defaults: the fields of ModelConfig or
+    TrainSettings in order, without n_fields, which the cache sets."""
+    key = {f: k for k, f in _FIELD.items()}
+    return {
+        key.get(f.name, f.name): f.default_factory() if f.default is MISSING else f.default
+        for f in fields(cls)
+        if f.name != "n_fields"
+    }
+
+
 CONFIG_DEFAULTS = {
     "seed": 0,
-    "data": {
-        "cache": "",
-        "min_freq": 1,
-    },
-    "model": {
-        "embed_dim": 10,
-        "tower1_layers": [400, 400, 400],
-        "tower2_layers": [800],
-        "dropout_rate": 0.5,
-        "cross_depth": 3,
-        "lambda": 0.5,
-        "variant": "full",
-        "truncation_scope": "row",
-    },
-    "trainer": {
-        "batch_size": 4096,
-        "lr": 0.0001,
-        "t_max": 20,
-        "delta": None,
-        "lr_decay": 0.1,
-        "c_min": 2,
-        "lr_floor": 1e-6,
-        "fixed_k": None,
-    },
+    "data": {"cache": ""},
+    "model": _section_defaults(model_mod.ModelConfig),
+    "trainer": _section_defaults(trainer_mod.TrainSettings),
     "out_prefix": "delta_run",
 }
 
@@ -81,40 +76,20 @@ def load_config(path, seed_override=None):
     cfg = _merge_strict(CONFIG_DEFAULTS, raw)
     if seed_override is not None:
         cfg["seed"] = seed_override
+    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
+        raise ConfigError(f"config seed must be an integer, got {json.dumps(cfg['seed'])}")
+    for name, value in (("data.cache", cfg["data"]["cache"]), ("out_prefix", cfg["out_prefix"])):
+        if not isinstance(value, str):
+            raise ConfigError(f"config {name} must be a string, got {json.dumps(value)}")
     return cfg
 
 
-def _model_config(cfg, n_fields, variant=None):
-    m = cfg["model"]
+def _build(cls, section, *validate_args, **override):
+    """A checked ModelConfig or TrainSettings from its merged config section;
+    `override` adds or replaces fields (n_fields, an ablation's variant)."""
+    given = {_FIELD.get(k, k): v for k, v in section.items()} | override
     try:
-        return model_mod.ModelConfig(
-            n_fields=n_fields,
-            embed_dim=m["embed_dim"],
-            tower1_layers=m["tower1_layers"],
-            tower2_layers=m["tower2_layers"],
-            dropout_rate=m["dropout_rate"],
-            cross_depth=m["cross_depth"],
-            lam=m["lambda"],
-            variant=variant or m["variant"],
-            truncation_scope=m["truncation_scope"],
-        ).validate()
-    except ParameterError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _train_settings(cfg, n_fields):
-    t = cfg["trainer"]
-    try:
-        return trainer_mod.TrainSettings(
-            batch_size=t["batch_size"],
-            lr=t["lr"],
-            t_max=t["t_max"],
-            delta=t["delta"],
-            lr_decay=t["lr_decay"],
-            c_min=t["c_min"],
-            lr_floor=t["lr_floor"],
-            fixed_k=t["fixed_k"],
-        ).validate(n_fields)
+        return cls(**given).validate(*validate_args)
     except ParameterError as e:
         raise ConfigError(str(e)) from e
 
@@ -153,8 +128,8 @@ def cmd_prep(args):
 def cmd_train(args):
     cfg = load_config(args.config, args.seed)
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
-    mc = _model_config(cfg, train_ds.n_fields)
-    settings = _train_settings(cfg, train_ds.n_fields)
+    mc = _build(model_mod.ModelConfig, cfg["model"], n_fields=train_ds.n_fields)
+    settings = _build(trainer_mod.TrainSettings, cfg["trainer"], train_ds.n_fields)
     params, history, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, cfg["seed"])
     prefix = cfg["out_prefix"]
     history.write(prefix + ".history.tsv")
@@ -182,6 +157,8 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = load_config(args.config, args.seed)
     variants = args.variants.split(",")
     for v in variants:
@@ -190,10 +167,10 @@ def cmd_ablate(args):
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     eval_ds = test_ds if len(test_ds) else val_ds
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
-    settings = _train_settings(cfg, train_ds.n_fields)
+    settings = _build(trainer_mod.TrainSettings, cfg["trainer"], train_ds.n_fields)
     print("variant\tauc_mean\tauc_std\tlogloss_mean\tlogloss_std")
     for v in variants:
-        mc = _model_config(cfg, train_ds.n_fields, variant=v)
+        mc = _build(model_mod.ModelConfig, cfg["model"], n_fields=train_ds.n_fields, variant=v)
         aucs, lls = [], []
         for s in seeds:
             params, _, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, s)

@@ -48,7 +48,7 @@ class CheckpointError(ValueError):
 @dataclass
 class ModelConfig:
     n_fields: int
-    embed_dim: int
+    embed_dim: int = 10
     tower1_layers: list[int] = field(default_factory=lambda: [400, 400, 400])
     tower2_layers: list[int] = field(default_factory=lambda: [800])
     dropout_rate: float = 0.5

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from delta_ctr import cli, data as data_mod, model as model_mod
+from delta_ctr import cli, data as data_mod, model as model_mod, trainer as trainer_mod
 
 
 @pytest.fixture
@@ -184,6 +185,54 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and json.dumps(value) in err.replace("'", '"')
         assert not (tmp_path / "run.ckpt").exists()
+
+    @pytest.mark.parametrize("raw, says", [
+        ({"seed": "x"}, 'config seed must be an integer, got "x"'),
+        ({"seed": None}, "config seed must be an integer, got null"),
+        ({"seed": [1]}, "config seed must be an integer, got [1]"),
+        ({"seed": 1.5}, "config seed must be an integer, got 1.5"),
+        ({"seed": True}, "config seed must be an integer, got true"),
+        ({"out_prefix": 5}, "config out_prefix must be a string, got 5"),
+        ({"data": {"cache": 0}}, "config data.cache must be a string, got 0"),
+        ({"data": {"cache": 1}}, "config data.cache must be a string, got 1"),
+        ({"data": {"min_freq": 50}}, "unknown config keys: data.min_freq"),
+    ])
+    def test_bad_top_level_value_exit_1(self, config_file, tmp_path, capsys, raw, says):
+        cfg = json.loads(config_file.read_text())
+        for key, value in raw.items():
+            cfg[key] = {**cfg[key], **value} if key == "data" else value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not list(tmp_path.glob("*.ckpt"))
+
+    def test_every_key_reaches_its_field(self, config_file, tmp_path, monkeypatch):
+        model = {"embed_dim": 3, "tower1_layers": [8, 4], "tower2_layers": [6], "dropout_rate": 0.25,
+                 "cross_depth": 1, "lambda": 0.75, "variant": "ctm_soft", "truncation_scope": "global"}
+        trainer = {"batch_size": 16, "lr": 0.02, "t_max": 4, "delta": 3, "lr_decay": 0.5, "c_min": 1,
+                   "lr_floor": 1e-5, "fixed_k": 2}
+        for section, values in (("model", model), ("trainer", trainer)):
+            assert values.keys() == cli.CONFIG_DEFAULTS[section].keys()
+            assert all(v != cli.CONFIG_DEFAULTS[section][k] for k, v in values.items())
+        cfg = json.loads(config_file.read_text())
+        cfg["model"], cfg["trainer"] = model, trainer
+        config_file.write_text(json.dumps(cfg))
+        built = []
+        real_fit = trainer_mod.fit
+
+        def spy(config, settings, *args):
+            built.append(settings)
+            return real_fit(config, settings, *args)
+
+        monkeypatch.setattr(trainer_mod, "fit", spy)
+        assert cli.main(["train", "--config", str(config_file)]) == 0
+        assert built == [trainer_mod.TrainSettings(**trainer)]
+        raw = (tmp_path / "run.ckpt").read_bytes()
+        header = json.loads(raw[10:10 + int.from_bytes(raw[6:10], "little")])
+        lam = model.pop("lambda")
+        assert header["config"] == {"n_fields": 3, **model, "lam": lam}
+        assert list(header["config"]) == [f.name for f in fields(model_mod.ModelConfig)]
 
     def test_lambda_default_half(self):
         assert cli.CONFIG_DEFAULTS["model"]["lambda"] == 0.5
@@ -365,6 +414,13 @@ class TestAblate:
         row = out.strip().split("\n")[1].split("\t")
         assert len(row) == 5  # variant, auc mean/std, logloss mean/std
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_exit_1(self, config_file, capsys, seeds):
+        rc = cli.main(["ablate", "--config", str(config_file), "--variants", "full", "--seeds", seeds])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --seeds must be at least 1, got {seeds}\n"
+
     def test_unknown_variant(self, config_file, capsys):
         rc = cli.main(["ablate", "--config", str(config_file), "--variants", "nope"])
         assert rc == 1
@@ -405,7 +461,17 @@ class TestMisc:
         rc = cli.main(["--dump-config"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert json.loads(out) == cli.CONFIG_DEFAULTS
+        defaults = {
+            "seed": 0,
+            "data": {"cache": ""},
+            "model": {"embed_dim": 10, "tower1_layers": [400, 400, 400], "tower2_layers": [800],
+                      "dropout_rate": 0.5, "cross_depth": 3, "lambda": 0.5, "variant": "full",
+                      "truncation_scope": "row"},
+            "trainer": {"batch_size": 4096, "lr": 0.0001, "t_max": 20, "delta": None, "lr_decay": 0.1,
+                        "c_min": 2, "lr_floor": 1e-06, "fixed_k": None},
+            "out_prefix": "delta_run",
+        }
+        assert out == json.dumps(defaults, indent=2) + "\n"
 
     def test_usage_error_exit_1(self):
         assert cli.main(["train"]) == 1  # missing --config
