@@ -144,6 +144,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     d, splits = data_mod.load_cache(args.data)
+    if len(d) == 0:
+        raise data_mod.DataError(f"{args.data}: the cache has no rows to evaluate")
     if (splits == 2).any():
         ds = d.subset(splits == 2)
     else:
@@ -189,7 +191,7 @@ def cmd_gradcheck(args):
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok" if r.passed else "FAIL"
-        print(f"{status:4s}  {r.name:30s}  worst rel err {r.worst_rel_err:.3e}")
+        print(f"{status:4s}  {r.name:36s}  worst rel err {r.worst_rel_err:.3e}")
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 2
 

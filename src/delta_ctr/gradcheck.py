@@ -7,13 +7,10 @@ oracle). Used by the `gradcheck` CLI command and the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import eeo as eeo_mod
-from . import layers as layers_mod
 from . import model as model_mod
 from . import numerics as nm
 from .numerics import Rng, Tensor
@@ -103,60 +100,9 @@ def rng_fixed_weights(shape):
     return (np.arange(int(np.prod(shape))).reshape(shape) + 1.0) / np.prod(shape)
 
 
-def check_layers(tol=DEFAULT_TOL, seed=1):
-    """Finite-difference checks on the composed layers."""
-    rng = Rng(seed).split("gradcheck-layers")
-    results = []
-    n, d = 4, 3
-    emb = Tensor(rng.normal((2, n, d)))
-    head_rng, s = rng.split("head"), 1.0 / math.sqrt(d)
-    head = layers_mod.CtmHeadParams(*(Tensor(head_rng.uniform(-s, s, (d, d))) for _ in "qkv"))
-    weights = rng_fixed_weights((2, n * d))
-
-    def ctm_loss(k, scope):
-        return lambda: nm.tsum(nm.mul(layers_mod.ctm_forward(emb, head, k, scope)[0], weights))
-
-    ctm_params = [emb, head.w_q, head.w_k, head.w_v]
-    _check("ctm_forward", ctm_loss(2, "row"), ctm_params, tol, results)
-    _check("ctm_forward/k=n", ctm_loss(n, "row"), ctm_params, tol, results)
-    # at k=1 global scope keeps 0 to 2 weights per row here, unlike row scope
-    _check("ctm_forward/global", ctm_loss(1, "global"), ctm_params, tol, results)
-
-    e_flat = Tensor(rng.normal((2, n * d)))
-    enh = Tensor(rng.normal((2, n * d)))
-    gate = Tensor(rng.normal((n * d,)))
-
-    def efg_loss():
-        return nm.tsum(nm.mul(layers_mod.efg_fuse(e_flat, enh, gate), weights))
-
-    _check("efg_fuse/gate", efg_loss, [gate, e_flat, enh], tol, results)
-
-    m = 5
-    x0 = Tensor(rng.normal((2, m)))
-    eeo_rng, s = rng.split("eeo"), 1.0 / math.sqrt(m)
-    cross = [eeo_mod.CrossLayerParams(Tensor(eeo_rng.uniform(-s, s, (m,))), Tensor(eeo_rng.uniform(-s, s, (m,))))
-             for _ in range(2)]
-    branch = eeo_mod.EeoBranch(cross, Tensor(eeo_rng.uniform(-s, s, (m, 1))), Tensor([0.0]))
-    eeo_params = [x0]
-    for p in branch.layers:
-        eeo_params += [p.weight, p.bias]
-    eeo_params += [branch.head_weight, branch.head_bias]
-    _check("eeo_forward", lambda: nm.tsum(eeo_mod.eeo_forward(x0, branch)), eeo_params, tol, results)
-
-    emb2 = Tensor(rng.normal((2, 3, 2)))
-    fm_bias = Tensor([0.1])
-    _check(
-        "eeo_fm_forward",
-        lambda: nm.tsum(eeo_mod.eeo_fm_forward(emb2, fm_bias)),
-        [emb2, fm_bias],
-        tol,
-        results,
-    )
-    return results
-
-
 def check_full_model(tol=DEFAULT_TOL, seed=2, variant="full"):
-    """Finite differences on the whole network, per parameter.
+    """Finite differences on the whole network of one variant, per
+    parameter, named model/<variant>/<tensor>.
 
     Tiny configuration: n=4 fields, d=3, towers [8]/[8], cross depth 2,
     dropout disabled (its mask is not differentiable state).
@@ -188,9 +134,13 @@ def check_full_model(tol=DEFAULT_TOL, seed=2, variant="full"):
         return model_mod.total_loss(l_main, l_eeo, cfg.lam)
 
     for name, p in params.named_params():
-        _check(f"model/{name}", loss, [p], tol, results)
+        _check(f"model/{variant}/{name}", loss, [p], tol, results)
     return results
 
 
 def run_all(tol=DEFAULT_TOL):
-    return check_primitives(tol) + check_layers(tol) + check_full_model(tol)
+    """Every primitive, then the whole network of every model variant."""
+    results = check_primitives(tol)
+    for variant in model_mod.VARIANTS:
+        results += check_full_model(tol, variant=variant)
+    return results

@@ -54,7 +54,6 @@ class AttentionState:
 
     weights: np.ndarray  # (B, n, n) softmax attention
     kept_mask: np.ndarray  # (B, n, n) bool; the truncated weights are np.where(kept_mask, weights, 0)
-    k: int
 
 
 def attention_weights(emb_batch, head):
@@ -94,7 +93,7 @@ def ctm_forward(emb_batch, head, k, scope="row"):
     (enhanced, AttentionState).
     """
     out, w, mask = nm.ctm_head(emb_batch, head.w_q, head.w_k, head.w_v, k, scope)
-    return out, AttentionState(weights=w, kept_mask=mask, k=k)
+    return out, AttentionState(weights=w, kept_mask=mask)
 
 
 def soft_attention_forward(emb_batch, head):
@@ -105,7 +104,7 @@ def soft_attention_forward(emb_batch, head):
     w = attention_weights(emb_batch, head)
     v = nm.matmul(emb_batch, head.w_v)
     out = nm.reshape(nm.matmul(w, v), (b, n * d))
-    return out, AttentionState(weights=w.value, kept_mask=np.ones(w.value.shape, dtype=bool), k=n)
+    return out, AttentionState(weights=w.value, kept_mask=np.ones(w.value.shape, dtype=bool))
 
 
 def truncated_aggregate_sparse(theta_vals, kept_idx, v_vals):

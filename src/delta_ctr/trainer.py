@@ -34,7 +34,6 @@ class CurriculumState:
     flag: bool = False
     delta: int = 1  # bottleneck decrement on plateau
     lr_decay: float = 0.1
-    c_max: int = 1
     c_min: int = 2
 
     @classmethod
@@ -46,7 +45,7 @@ class CurriculumState:
         if delta < 1:
             raise ParameterError("delta must be >= 1")
         c_min = min(c_min, c_max)
-        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_max=c_max, c_min=c_min)
+        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_min=c_min)
 
 
 def curriculum_step(s, new_val_loss):
@@ -204,7 +203,6 @@ def fit(config, settings, train_ds, val_ds, seed):
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ParameterError("datasets must be nonempty")
-    config.validate()
     params = model_mod.ModelParams.init(config, train_ds.vocab_sizes, seed)
     opt = OptimizerState.init(params)
     n = config.n_fields

@@ -395,6 +395,19 @@ class TestEval:
             assert cli.main(argv) == 1
             assert capsys.readouterr().err.startswith("error: AUC undefined"), argv
 
+    def test_empty_cache_exit_1(self, toy_raw, tmp_path, capsys):
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(toy_raw.read_text().splitlines()[0] + "\n")
+        cache = tmp_path / "empty.bin"
+        assert cli.main(["prep", "--input", str(header_only), "--output", str(cache)]) == 0
+        cfg = model_mod.ModelConfig(n_fields=3, embed_dim=2, tower1_layers=[4], tower2_layers=[4])
+        ckpt = tmp_path / "empty.ckpt"
+        model_mod.save_checkpoint(ckpt, model_mod.ModelParams.init(cfg, [1, 1, 1], seed=0))
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(cache)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {cache}: the cache has no rows to evaluate\n"
+
 
 class TestAblate:
     def test_two_variants(self, config_file, capsys):
@@ -436,6 +449,13 @@ class TestGradcheckCommand:
 
         for prim in PRIMITIVES:
             assert prim in out  # report covers every registered primitive
+        # and every tensor of every variant's whole network
+        ok = {line.split()[1] for line in out.splitlines() if line.startswith("ok")}
+        for variant in model_mod.VARIANTS:
+            cfg = model_mod.ModelConfig(n_fields=4, embed_dim=3, tower1_layers=[8], tower2_layers=[8],
+                                        cross_depth=2, variant=variant)
+            for row in model_mod.param_table(cfg, [5] * 4):
+                assert f"model/{variant}/{row.name}" in ok
 
     def test_fault_injection_names_gate(self, monkeypatch, capsys):
         import delta_ctr.layers as layers_mod
@@ -454,6 +474,19 @@ class TestGradcheckCommand:
         assert rc == 2
         failing = [l for l in out.split("\n") if l.startswith("FAIL")]
         assert any("gate" in l for l in failing)
+
+    def test_fault_injection_names_fm_bias(self, monkeypatch, capsys):
+        import delta_ctr.eeo as eeo_mod
+        from delta_ctr.numerics import Tensor
+
+        fm_forward = eeo_mod.eeo_fm_forward
+        # the bias detached from the graph, as in the gate case above
+        monkeypatch.setattr(eeo_mod, "eeo_fm_forward", lambda emb, bias: fm_forward(emb, Tensor(bias.value)))
+        rc = cli.main(["gradcheck"])
+        out = capsys.readouterr().out
+        assert rc == 2
+        failing = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+        assert failing == ["model/eeo_fm/fm_bias"]
 
 
 class TestMisc:

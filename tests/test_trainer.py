@@ -7,7 +7,7 @@ from delta_ctr import data as data_mod
 from delta_ctr import model as model_mod
 from delta_ctr import trainer as trainer_mod
 from delta_ctr.model import ModelConfig, ModelParams
-from delta_ctr.numerics import Rng, Tensor
+from delta_ctr.numerics import ParameterError, Rng, Tensor
 from delta_ctr.trainer import CurriculumState, OptimizerState, curriculum_step
 
 
@@ -212,6 +212,11 @@ class TestFit:
         )
         assert history.records == []
         assert k == 4
+
+    def test_unknown_variant_raises(self):
+        tr, va, _ = small_data()
+        with pytest.raises(ParameterError, match="unknown variant 'bogus'"):
+            trainer_mod.fit(small_config(variant="bogus"), trainer_mod.TrainSettings(), tr, va, seed=0)
 
     @pytest.mark.parametrize("scope", ["row", "global"])
     @pytest.mark.parametrize("variant", list(model_mod.VARIANTS))
