@@ -130,7 +130,8 @@ def read_raw(path):
 def build_vocab(columns, min_freq=1):
     """Deterministic vocabulary per column: tokens seen at least min_freq
     times take indices 1, 2, ... by count descending, then by token; every
-    other token folds to index 0."""
+    other token folds to index 0. Columns with rows of which no token is
+    kept, in any column, are a DataError: every row would encode alike."""
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
     maps = []
@@ -139,6 +140,9 @@ def build_vocab(columns, min_freq=1):
         kept = sorted(tok for tok, n in counts.items() if n >= min_freq)
         kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in token order
         maps.append({tok: j for j, tok in enumerate(kept, start=1)})
+    if any(len(col) for col in columns) and not any(maps):
+        raise DataError(f"no token of any field appears {min_freq} times (min_freq): "
+                        "every field would keep only its OOV row")
     return Vocabulary(maps=maps)
 
 

@@ -128,10 +128,7 @@ def check_full_model(tol=DEFAULT_TOL, seed=2, variant="full"):
     results = []
 
     def loss():
-        out = model_mod.delta_forward(idx, params, k=2, mode="train", rng=Rng(0))
-        l_main = model_mod.bce_loss(out.y_main, labels)
-        l_eeo = None if out.y_eeo is None else model_mod.bce_loss(out.y_eeo, labels)
-        return model_mod.total_loss(l_main, l_eeo, cfg.lam)
+        return model_mod.train_loss(idx, labels, params, 2, Rng(0))
 
     for name, p in params.named_params():
         _check(f"model/{variant}/{name}", loss, [p], tol, results)

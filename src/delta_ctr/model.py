@@ -237,14 +237,16 @@ class ForwardOutput:
     y_eeo: Tensor | None  # (B,) probabilities, train mode only
     state1: layers_mod.AttentionState | None
     state2: layers_mod.AttentionState | None
+    aux_loss: Tensor | None  # lambda * bce(y_eeo, labels), train mode given labels only
 
 
-def delta_forward(indices, params, k, mode="infer", rng=None):
+def delta_forward(indices, params, k, mode="infer", rng=None, labels=None):
     """Run the network on a batch of encoded instances.
 
     indices: (B, n_fields) int array. In train mode dropout is active and
     the auxiliary branch is evaluated (unless lambda is 0, in which case the
-    branch is skipped entirely and contributes nothing to the graph). In
+    branch is skipped entirely and contributes nothing to the graph); given
+    labels, the output's aux_loss is that branch's loss times lambda. In
     infer mode the auxiliary branch and dropout are never evaluated, and no
     graph is built.
     """
@@ -252,9 +254,9 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     if training and rng is None:
         raise ParameterError("train mode requires an rng")
     if training:
-        return _forward(indices, params, k, True, rng)
+        return _forward(indices, params, k, True, rng, labels)
     with nm.no_grad():
-        return _forward(indices, params, k, False, Rng(0) if rng is None else rng)
+        return _forward(indices, params, k, False, Rng(0) if rng is None else rng, None)
 
 
 def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
@@ -269,7 +271,7 @@ def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
     return tower.forward(x, cfg.dropout_rate, rng, training), state
 
 
-def _forward(indices, params, k, training, rng):
+def _forward(indices, params, k, training, rng, labels):
     cfg = params.config
     spec = VARIANTS[cfg.variant]
     b = indices.shape[0]
@@ -278,17 +280,33 @@ def _forward(indices, params, k, training, rng):
     if spec.attention == "soft":  # k=n keeps every weight and selects nothing
         k = cfg.n_fields
 
-    # The two paths share nothing until the concat below, so tower 2's path
-    # runs on the worker thread while tower 1's runs here; the graph, the
-    # RNG draws and the values are those of running them one after the
-    # other. Their nodes are tagged, so backward runs them concurrently too.
     def path(i, head, gate, tower):
         with nm.on_path(i):
             return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
 
-    (t1, state1), (t2, state2) = nm.concurrently(
-        lambda: path(1, params.head1, params.gate1, params.tower1),
-        lambda: path(2, params.head2, params.gate2, params.tower2),
+    def aux_head():
+        # (y_eeo, aux_loss): the training-only head, which reads only emb
+        # and e_flat and feeds nothing but the loss
+        if spec.aux == "fm":
+            y = nm.sigmoid(eeo_mod.eeo_fm_forward(emb, params.fm_bias))
+        else:
+            y = nm.sigmoid(eeo_mod.eeo_forward(e_flat, params.eeo))
+        return y, None if labels is None else nm.scale(bce_loss(y, labels), cfg.lam)
+
+    def second():
+        t2 = path(2, params.head2, params.gate2, params.tower2)
+        if not (training and spec.aux and cfg.lam > 0):
+            return t2, (None, None)
+        with nm.on_path(2):
+            return t2, aux_head()
+
+    # The two paths share nothing until the concat below, so tower 2's path,
+    # then the aux head, runs on the worker thread while tower 1's runs
+    # here; the graph, the RNG draws and the values are those of running
+    # them one after the other. Their nodes are tagged, so backward runs
+    # them concurrently too.
+    (t1, state1), ((t2, state2), (y_eeo, aux_loss)) = nm.concurrently(
+        lambda: path(1, params.head1, params.gate1, params.tower1), second
     )
     pieces = [t1, t2]
     if spec.concat_cross:
@@ -299,15 +317,7 @@ def _forward(indices, params, k, training, rng):
     joint = nm.concat(pieces, axis=-1)
     logit = nm.reshape(nm.add(nm.matmul(joint, params.final_w), params.final_b), (b,))
     y_main = nm.sigmoid(logit)
-
-    y_eeo = None
-    if training and spec.aux and cfg.lam > 0:
-        if spec.aux == "fm":
-            aux_logit = eeo_mod.eeo_fm_forward(emb, params.fm_bias)
-        else:
-            aux_logit = eeo_mod.eeo_forward(e_flat, params.eeo)
-        y_eeo = nm.sigmoid(aux_logit)
-    return ForwardOutput(y_main=y_main, y_eeo=y_eeo, state1=state1, state2=state2)
+    return ForwardOutput(y_main=y_main, y_eeo=y_eeo, state1=state1, state2=state2, aux_loss=aux_loss)
 
 
 def bce_loss(y_hat, labels):
@@ -317,11 +327,21 @@ def bce_loss(y_hat, labels):
 
 
 def total_loss(l_main, l_eeo, lam):
+    """l_main + lam * l_eeo: the training loss, from the two branch losses."""
     if lam < 0:
         raise ParameterError("lambda must be >= 0")
     if l_eeo is None or lam == 0:
         return l_main
     return nm.add(l_main, nm.scale(l_eeo, lam))
+
+
+def train_loss(indices, labels, params, k, rng):
+    """One batch's training loss as a graph: total_loss's sum, with the
+    aux head's loss and its lambda weighting built on path 2, so that
+    backward runs them on the worker too."""
+    out = delta_forward(indices, params, k, mode="train", rng=rng, labels=labels)
+    l_main = bce_loss(out.y_main, labels)
+    return l_main if out.aux_loss is None else nm.add(l_main, out.aux_loss)
 
 
 def backward_and_accumulate(indices, labels, params, k, rng):
@@ -333,11 +353,7 @@ def backward_and_accumulate(indices, labels, params, k, rng):
     node's arrays as soon as it has been run through.
     """
     params.zero_grads()
-    out = delta_forward(indices, params, k, mode="train", rng=rng)
-    l_main = bce_loss(out.y_main, labels)
-    l_eeo = None if out.y_eeo is None else bce_loss(out.y_eeo, labels)
-    del out
-    loss = total_loss(l_main, l_eeo, params.config.lam)
+    loss = train_loss(indices, labels, params, k, rng)
     loss.backward()
     grads = {}
     for name, p in params.named_params():

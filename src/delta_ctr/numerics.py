@@ -333,19 +333,25 @@ def as_tensor(x):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=False)
 
 
-def _accum(node, g, rows=None):
+def _accum(node, g, rows=None, fresh=False):
     """Add g into node.grad, or into its given rows (gather's scatter).
+    A node's first gradient is a copy of g, unless g is fresh: an array of
+    the node's shape that the closure has just made and reads no more,
+    which then becomes node.grad itself. A g that passes the incoming
+    gradient on (a view, a broadcast, a piece of it) is copied.
     Inside path 2's block of a concurrent backward a node outside path 2
     is not touched: the call is held for the caller to make later."""
     if not node.requires_grad:
         return
     held = _held.get()
     if held is not None and node._path != 2:
-        held.append(functools.partial(_accum, node, g, rows))
+        held.append(functools.partial(_accum, node, g, rows, fresh))
     elif rows is not None:
         if node.grad is None:
             node.grad = np.zeros_like(node.value)
         np.add.at(node.grad, rows, g)
+    elif node.grad is None and fresh:
+        node.grad = g
     elif node.grad is None:
         node.grad = np.empty_like(node.value)
         node.grad[...] = g
@@ -364,6 +370,19 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _product(x, y):
+    """np.matmul(x, y), bit for bit. For matrices with an inner dimension
+    of 1 it is an outer product, computed as the broadcast product x * y:
+    one multiply per entry, as the k=1 GEMM, whose sum from +0.0 turns a
+    -0.0 product into +0.0, as adding +0.0 does here. When both hold a
+    NaN, the two can pass on different ones, so np.matmul runs then."""
+    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != 1 or (np.isnan(x).any() and np.isnan(y).any()):
+        return np.matmul(x, y)
+    out = x * y
+    out += 0.0
+    return out
+
+
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.shape[-1] != b.value.shape[-2 if b.value.ndim > 1 else 0]:
@@ -372,11 +391,11 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
-            _accum(a, _unbroadcast(ga, a.value.shape))
+            ga = _product(g, np.swapaxes(b.value, -1, -2))
+            _accum(a, _unbroadcast(ga, a.value.shape), fresh=True)
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.value, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.value.shape))
+            gb = _product(np.swapaxes(a.value, -1, -2), g)
+            _accum(b, _unbroadcast(gb, b.value.shape), fresh=True)
 
     return Tensor(out_val, (a, b), backward)
 
@@ -474,7 +493,7 @@ def dropout(a, rate, rng, training):
         out *= s
         return out
 
-    return Tensor(apply(a.value), (a,), lambda g: _accum(a, apply(g)))
+    return Tensor(apply(a.value), (a,), lambda g: _accum(a, apply(g), fresh=True))
 
 
 def reshape(a, shape):
@@ -616,9 +635,9 @@ def dense(x, w, b):
         g = g * (out_val > 0)
         _accum(b, _unbroadcast(g, b.value.shape))
         if x.requires_grad:
-            _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.value.shape))
+            _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.value.shape), fresh=True)
         if w.requires_grad:
-            _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.value, -1, -2), g), w.value.shape))
+            _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.value, -1, -2), g), w.value.shape), fresh=True)
 
     return Tensor(out_val, (x, w, b), backward)
 
@@ -700,9 +719,9 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         # the gradient of one projection emb @ weight, given its output's
         # gradient g (B, n, d), C-contiguous as it was there
         if emb.requires_grad:
-            _accum(emb, np.matmul(g, np.swapaxes(weight.value, -1, -2)))
+            _accum(emb, np.matmul(g, np.swapaxes(weight.value, -1, -2)), fresh=True)
         if weight.requires_grad:
-            _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape))
+            _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape), fresh=True)
 
     def backward_slice(s, nan, g, g_q, g_k, g_v):
         # one slice's projection gradients, each temporary freed on return
@@ -741,8 +760,8 @@ def gate_mix(e, enhanced, gate):
     out_val = s * e.value + one_minus * enhanced.value
 
     def backward(g):
-        _accum(e, g * s)
-        _accum(enhanced, g * one_minus)
+        _accum(e, g * s, fresh=True)
+        _accum(enhanced, g * one_minus, fresh=True)
         g_s = _unbroadcast(g * e.value, s.shape) - _unbroadcast(g * enhanced.value, s.shape)
         _accum(gate, g_s * s * one_minus)
 
@@ -768,10 +787,10 @@ def cross(x0, x_l, w, b):
     def backward(g):
         _accum(x_l, g)
         _accum(b, _unbroadcast(g, b.value.shape))
-        _accum(x0, g * proj)
+        _accum(x0, g * proj, fresh=True)
         g_proj = _unbroadcast(g * x0.value, proj.shape)
         if x_l.requires_grad:
-            _accum(x_l, np.matmul(g_proj, np.swapaxes(w.value.reshape(m, 1), -1, -2)))
+            _accum(x_l, _product(g_proj, np.swapaxes(w.value.reshape(m, 1), -1, -2)))
         if w.requires_grad:
             _accum(w, np.matmul(np.swapaxes(x_l.value, -1, -2), g_proj).reshape(m))
 

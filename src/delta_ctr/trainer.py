@@ -10,6 +10,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import model as model_mod
+from . import numerics as nm
 from .metrics import EvalResult, evaluate_scores
 from .model import is_count, is_real
 from .numerics import ParameterError, Rng
@@ -88,6 +89,12 @@ class OptimizerState:
         )
 
 
+# parameter elements below which an Adam step runs on the calling thread
+# alone: under it, handing half of the update to the worker costs more than
+# it saves
+ADAM_SPLIT = 1 << 17
+
+
 def optimizer_step(params, grads, state, lr):
     """In-place Adam update with bias correction, or none if a gradient is NaN/Inf.
 
@@ -96,30 +103,62 @@ def optimizer_step(params, grads, state, lr):
     v = b2 * v + (1 - b2) * g * g and p -= lr * (m / c1) / (sqrt(v / c2) + eps)
     in the same order, so the bits are those of that formula, which would
     allocate a temporary the size of the parameter for every operation.
+    From ADAM_SPLIT elements on, the worker thread updates half of them
+    while the caller updates the other half (see _halves); each element
+    sees the same operations either way.
     """
-    for name, _ in params.named_params():
+    named = params.named_params()
+    for name, _ in named:
         if not np.all(np.isfinite(grads[name])):
             raise TrainingError(f"NaN/Inf gradient in {name}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for name, p in params.named_params():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        scratch = np.multiply(g, 1 - b1)
-        m *= b1
-        m += scratch
-        np.multiply(g, 1 - b2, out=scratch)
-        scratch *= g
-        v *= b2
-        v += scratch
-        np.divide(v, c2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += state.eps
-        step = np.divide(m, c1)
-        step *= lr
-        step /= scratch
-        p.value -= step
+
+    def update(share):
+        for p, g, m, v in share:
+            scratch = np.multiply(g, 1 - b1)
+            m *= b1
+            m += scratch
+            np.multiply(g, 1 - b2, out=scratch)
+            scratch *= g
+            v *= b2
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += state.eps
+            step = np.divide(m, c1)
+            step *= lr
+            step /= scratch
+            p -= step
+
+    share = [(p.value, grads[n], state.m[n], state.v[n]) for n, p in named]
+    if sum(p.size for p, *_ in share) < ADAM_SPLIT:
+        update(share)
+    else:
+        first, second = _halves(share)
+        nm.concurrently(lambda: update(first), lambda: update(second))
+
+
+def _halves(share):
+    """Cut a list of same-shape array tuples into two lists with equal
+    element counts, to within a row: the tuples in order, the one that
+    crosses the midpoint cut by rows (for the embedding, the table's)."""
+    half = sum(a.size for a, *_ in share) / 2
+    first, second, seen = [], [], 0
+    for arrays in share:
+        size = arrays[0].size
+        if seen + size <= half:
+            first.append(arrays)
+        elif seen >= half:
+            second.append(arrays)
+        else:
+            r = round((half - seen) / size * len(arrays[0]))
+            first.append(tuple(a[:r] for a in arrays))
+            second.append(tuple(a[r:] for a in arrays))
+        seen += size
+    return first, second
 
 
 @dataclass

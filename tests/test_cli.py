@@ -97,6 +97,16 @@ class TestPrep:
         assert capsys.readouterr().err == f"error: {bad}:4: label must be 0 or 1, got {label!r}\n"
         assert not (tmp_path / "o.bin").exists()
 
+    def test_min_freq_folding_every_token_exit_1(self, toy_raw, tmp_path, capsys):
+        cache = tmp_path / "o.bin"
+        rc = cli.main(["prep", "--input", str(toy_raw), "--output", str(cache), "--min-freq", "1000"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: no token of any field appears 1000 times (min_freq): "
+            "every field would keep only its OOV row\n"
+        )
+        assert not cache.exists()
+
     def test_missing_input_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         rc = cli.main(["prep", "--input", str(missing), "--output", str(tmp_path / "o.bin")])

@@ -81,6 +81,13 @@ class TestBuildVocab:
         v = data_mod.build_vocab([("b", "b", "a", "a", "c")])
         assert v.maps[0] == {"a": 1, "b": 2, "c": 3}
 
+    def test_min_freq_above_every_count_rejected(self):
+        cols = [("a", "b", "a"), ("x", "y", "z")]
+        assert data_mod.build_vocab(cols, min_freq=2).sizes == [2, 1]  # one field keeps a token
+        with pytest.raises(DataError, match="no token of any field appears 3 times"):
+            data_mod.build_vocab(cols, min_freq=3)
+        assert data_mod.build_vocab([(), ()], min_freq=3).sizes == [1, 1]  # no rows: nothing to fold
+
     def test_bad_min_freq(self):
         with pytest.raises(DataError, match="min_freq"):
             data_mod.build_vocab([("a",)], min_freq=0)

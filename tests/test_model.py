@@ -516,9 +516,7 @@ class TestConcurrentBranches:
             return loss, {n: g.tobytes() for n, g in grads.items()}
 
         want = step()
-        out = model_mod.delta_forward(idx, params, 2, mode="train", rng=Rng(0))
-        loss = model_mod.total_loss(model_mod.bce_loss(out.y_main, labels),
-                                    None if out.y_eeo is None else model_mod.bce_loss(out.y_eeo, labels), 0.5)
+        loss = model_mod.train_loss(idx, labels, params, 2, Rng(0))  # the graph backward_and_accumulate walks
         nodes, todo = {}, [loss]
         while todo:
             t = todo.pop()
@@ -546,6 +544,30 @@ class TestConcurrentBranches:
             loss.backward()
         assert all(t._backward is nm._consumed for t in path1)  # path 1's block had ended
         assert step() == want
+
+    @pytest.mark.parametrize("variant", [v for v, spec in model_mod.VARIANTS.items() if spec.aux])
+    def test_training_graph_splits_with_the_aux_head_on_path_2(self, variant, monkeypatch):
+        # an untagged node of the aux head that reads a tagged one (its bce,
+        # its lambda scale) makes _split_paths give up: the step then walks
+        # serially, with the same bits, so only this test sees it
+        made = {"bce": [], "scale": [], "cross": []}
+        for name, nodes in made.items():
+            def recording(*args, fn=getattr(nm, name), nodes=nodes):
+                out = fn(*args)
+                nodes.append(out)
+                return out
+            monkeypatch.setattr(nm, name, recording)
+        splits = []
+        split_paths = nm._split_paths
+        monkeypatch.setattr(nm, "_split_paths", lambda order: splits.append(split_paths(order)) or splits[-1])
+        params = ModelParams.init(tiny_config(variant=variant), VOCABS, seed=2)
+        model_mod.backward_and_accumulate(*make_batch(), params, 2, Rng(0))
+        assert len(splits) == 1 and splits[0] is not None
+        main_bce, aux_bce = sorted(made["bce"], key=lambda t: t._path)
+        assert (main_bce._path, aux_bce._path) == (0, 2)
+        assert made["scale"] and all(t._path == 2 for t in made["scale"])  # lambda's, and FM's 0.5
+        assert made["cross"] if variant != "eeo_fm" else not made["cross"]
+        assert all(t._path == 2 for t in made["cross"])
 
     def test_callers_on_many_threads_share_the_worker(self, monkeypatch):
         """Six threads on two cores, the interpreter switching every
@@ -619,6 +641,16 @@ class TestConcurrentBranches:
             os.waitpid(pid, 0)
             pytest.fail("the forked child's forward did not return")
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_no_two_gradients_of_a_step_share_memory():
+    # a first gradient is kept uncopied only when its closure made it anew
+    params = ModelParams.init(tiny_config(dropout_rate=0.3), VOCABS, seed=2)
+    _, grads = model_mod.backward_and_accumulate(*make_batch(), params, 2, Rng(0))
+    named = list(grads.items())
+    for i, (a, ga) in enumerate(named):
+        for b, gb in named[i + 1 :]:
+            assert not np.shares_memory(ga, gb), (a, b)
 
 
 class TestFullModelGradients:

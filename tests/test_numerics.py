@@ -237,6 +237,49 @@ def test_backward_matches_finite_differences(seed):
     assert nm.max_relative_error(analytic, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("case", ["add_self", "reshape", "concat"])
+def test_passed_on_gradients_that_meet_again_match_finite_differences(case):
+    """A first gradient that passes the incoming one on is copied, so a
+    later accumulation into the same node cannot write into another's:
+    add(x, x), a reshape that meets x again, and a concat whose pieces meet
+    again each still give the gradcheck-correct gradient."""
+    rng = Rng(7)
+    x = Tensor(rng.normal((3, 4)))
+    v = Tensor(rng.normal((4, 4)))
+    width = {"add_self": 4, "reshape": 4, "concat": 12}[case]
+    w = Tensor(rng.normal((width, 5)))
+    weights = rng.normal((3, 5))
+
+    def f():
+        if case == "add_self":
+            z = nm.add(nm.add(x, x), x)
+        elif case == "reshape":
+            z = nm.add(nm.reshape(nm.reshape(x, (12,)), (3, 4)), x)
+        else:
+            z = nm.concat([x, nm.matmul(x, v), x], axis=-1)
+        return nm.tsum(nm.mul(nm.relu(nm.matmul(z, w)), weights))
+
+    analytic = nm.grad_of(f, [x, v, w])
+    numeric = nm.finite_difference_grad(f, [x, v, w])
+    assert nm.max_relative_error(analytic, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(37, 1, 23), (1, 1, 1), (5, 1, 400)])
+def test_outer_product_backward_bitwise_equal_to_matmul(shape):
+    # matmul's backward forms a k=1 product by broadcasting; zeros of
+    # either sign, infinities and NaN of either sign included
+    m, _, n = shape
+    rng = Rng(11)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e308])
+    x, y = rng.normal((m, 1)), rng.normal((1, n))
+    for arr in (x, y):
+        flat = arr.reshape(-1)
+        flat[::3] = special[rng.integers(0, len(special), flat[::3].size)]
+    for a, b in ((x, y), (x, np.swapaxes(np.ascontiguousarray(y.T), 0, 1)), (np.nan_to_num(x), y)):
+        with np.errstate(all="ignore"):
+            assert nm._product(a, b).tobytes() == np.matmul(a, b).tobytes()
+
+
 class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(42).split("x").normal((10,))

@@ -5,6 +5,7 @@ import pytest
 
 from delta_ctr import data as data_mod
 from delta_ctr import model as model_mod
+from delta_ctr import numerics as nm
 from delta_ctr import trainer as trainer_mod
 from delta_ctr.model import ModelConfig, ModelParams
 from delta_ctr.numerics import ParameterError, Rng, Tensor
@@ -116,9 +117,9 @@ class TestCurriculumStep:
 
 
 class TestOptimizerStep:
-    def make(self):
+    def make(self, vocab_sizes=(3, 3)):
         cfg = ModelConfig(n_fields=2, embed_dim=2, tower1_layers=[3], tower2_layers=[3], dropout_rate=0.0)
-        params = ModelParams.init(cfg, [3, 3], seed=0)
+        params = ModelParams.init(cfg, list(vocab_sizes), seed=0)
         return params, OptimizerState.init(params)
 
     def test_zero_gradients_no_change(self):
@@ -151,8 +152,59 @@ class TestOptimizerStep:
         for n in results[0]:
             assert np.array_equal(results[0][n], results[1][n])
 
+    def split_on_both_threads(self, monkeypatch):
+        """Lower the split floor under this parameter set; return the list
+        that each numerics.concurrently call appends to."""
+        monkeypatch.setattr(trainer_mod, "ADAM_SPLIT", 1)
+        calls = []
+        concurrently = nm.concurrently
+
+        def counted(first, second):
+            calls.append(first)
+            return concurrently(first, second)
+
+        monkeypatch.setattr(nm, "concurrently", counted)
+        return calls
+
     def test_bit_equal_to_the_out_of_place_formula(self):
+        self.check_formula()
+
+    def test_split_step_bit_equal_to_the_out_of_place_formula(self, monkeypatch):
+        calls = self.split_on_both_threads(monkeypatch)
+        params, _ = self.make((40, 40))  # the embedding, 160 of 258 elements, is cut by rows
+        first, second = trainer_mod._halves([(p.value,) for _, p in params.named_params()])
+        assert first[0][0].shape == (64, 2) and second[0][0].shape == (16, 2)
+        self.check_formula((40, 40))
+        assert len(calls) == 4  # one per step
+
+    def test_halves_cover_every_element_once_in_equal_shares(self):
+        share = [(np.zeros(s), np.zeros(s)) for s in [(7, 3), (5,), (40, 2), (1, 1), (9, 4)]]
+        first, second = trainer_mod._halves(share)
+        for part in (first, second):
+            for a, b in part:
+                assert a.shape == b.shape
+                a += 1
+                b += 1
+        assert all((a == 1).all() and (b == 1).all() for a, b in share)
+        sizes = [sum(a.size for a, _ in part) for part in (first, second)]
+        assert abs(sizes[0] - sizes[1]) <= 2  # a row of the (40, 2) tensor it cuts
+
+    def test_nan_in_the_workers_share_changes_nothing(self, monkeypatch):
+        calls = self.split_on_both_threads(monkeypatch)
         params, state = self.make()
+        before = params.copy_values()
+        grads = {n: np.ones_like(p.value) for n, p in params.named_params()}
+        last = params.named_params()[-1][0]  # in the second half, which the worker updates
+        grads[last].reshape(-1)[-1] = np.nan
+        with pytest.raises(trainer_mod.TrainingError, match=last):
+            trainer_mod.optimizer_step(params, grads, state, lr=0.1)
+        assert state.step == 0 and calls == []
+        for n, p in params.named_params():
+            assert np.array_equal(p.value, before[n]), n
+            assert not np.any(state.m[n]) and not np.any(state.v[n]), n
+
+    def check_formula(self, vocab_sizes=(3, 3)):
+        params, state = self.make(vocab_sizes)
         values = params.copy_values()
         m = {n: np.zeros_like(v) for n, v in values.items()}
         v = {n: np.zeros_like(x) for n, x in values.items()}
