@@ -237,16 +237,14 @@ class ForwardOutput:
     y_eeo: Tensor | None  # (B,) probabilities, train mode only
     state1: layers_mod.AttentionState | None
     state2: layers_mod.AttentionState | None
-    aux_loss: Tensor | None  # lambda * bce(y_eeo, labels), train mode given labels only
 
 
-def delta_forward(indices, params, k, mode="infer", rng=None, labels=None):
+def delta_forward(indices, params, k, mode="infer", rng=None):
     """Run the network on a batch of encoded instances.
 
     indices: (B, n_fields) int array. In train mode dropout is active and
     the auxiliary branch is evaluated (unless lambda is 0, in which case the
-    branch is skipped entirely and contributes nothing to the graph); given
-    labels, the output's aux_loss is that branch's loss times lambda. In
+    branch is skipped entirely and contributes nothing to the graph). In
     infer mode the auxiliary branch and dropout are never evaluated, and no
     graph is built.
     """
@@ -254,9 +252,9 @@ def delta_forward(indices, params, k, mode="infer", rng=None, labels=None):
     if training and rng is None:
         raise ParameterError("train mode requires an rng")
     if training:
-        return _forward(indices, params, k, True, rng, labels)
+        return _forward(indices, params, k, True, rng)[0]
     with nm.no_grad():
-        return _forward(indices, params, k, False, Rng(0) if rng is None else rng, None)
+        return _forward(indices, params, k, False, Rng(0) if rng is None else rng)[0]
 
 
 def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
@@ -271,7 +269,9 @@ def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
     return tower.forward(x, cfg.dropout_rate, rng, training), state
 
 
-def _forward(indices, params, k, training, rng, labels):
+def _forward(indices, params, k, training, rng, labels=None):
+    """(ForwardOutput, aux term): given labels in training, the aux term is
+    the aux branch's share of the loss (_aux_term), else None."""
     cfg = params.config
     spec = VARIANTS[cfg.variant]
     b = indices.shape[0]
@@ -285,13 +285,13 @@ def _forward(indices, params, k, training, rng, labels):
             return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
 
     def aux_head():
-        # (y_eeo, aux_loss): the training-only head, which reads only emb
+        # (y_eeo, aux term): the training-only head, which reads only emb
         # and e_flat and feeds nothing but the loss
         if spec.aux == "fm":
             y = nm.sigmoid(eeo_mod.eeo_fm_forward(emb, params.fm_bias))
         else:
             y = nm.sigmoid(eeo_mod.eeo_forward(e_flat, params.eeo))
-        return y, None if labels is None else nm.scale(bce_loss(y, labels), cfg.lam)
+        return y, None if labels is None else _aux_term(bce_loss(y, labels), cfg.lam)
 
     def second():
         t2 = path(2, params.head2, params.gate2, params.tower2)
@@ -305,7 +305,7 @@ def _forward(indices, params, k, training, rng, labels):
     # here; the graph, the RNG draws and the values are those of running
     # them one after the other. Their nodes are tagged, so backward runs
     # them concurrently too.
-    (t1, state1), ((t2, state2), (y_eeo, aux_loss)) = nm.concurrently(
+    (t1, state1), ((t2, state2), (y_eeo, aux)) = nm.concurrently(
         lambda: path(1, params.head1, params.gate1, params.tower1), second
     )
     pieces = [t1, t2]
@@ -317,7 +317,7 @@ def _forward(indices, params, k, training, rng, labels):
     joint = nm.concat(pieces, axis=-1)
     logit = nm.reshape(nm.add(nm.matmul(joint, params.final_w), params.final_b), (b,))
     y_main = nm.sigmoid(logit)
-    return ForwardOutput(y_main=y_main, y_eeo=y_eeo, state1=state1, state2=state2, aux_loss=aux_loss)
+    return ForwardOutput(y_main=y_main, y_eeo=y_eeo, state1=state1, state2=state2), aux
 
 
 def bce_loss(y_hat, labels):
@@ -326,22 +326,29 @@ def bce_loss(y_hat, labels):
     return nm.bce(y_hat, labels)
 
 
-def total_loss(l_main, l_eeo, lam):
-    """l_main + lam * l_eeo: the training loss, from the two branch losses."""
+def _aux_term(l_eeo, lam):
+    """lam * l_eeo, the aux branch's share of the loss, or None where it
+    has none (no aux loss, or lambda 0)."""
     if lam < 0:
         raise ParameterError("lambda must be >= 0")
     if l_eeo is None or lam == 0:
-        return l_main
-    return nm.add(l_main, nm.scale(l_eeo, lam))
+        return None
+    return nm.scale(l_eeo, lam)
+
+
+def total_loss(l_main, l_eeo, lam):
+    """l_main + lam * l_eeo, from the two branch losses: the sum train_loss
+    builds, there with the aux term on path 2."""
+    aux = _aux_term(l_eeo, lam)
+    return l_main if aux is None else nm.add(l_main, aux)
 
 
 def train_loss(indices, labels, params, k, rng):
-    """One batch's training loss as a graph: total_loss's sum, with the
-    aux head's loss and its lambda weighting built on path 2, so that
-    backward runs them on the worker too."""
-    out = delta_forward(indices, params, k, mode="train", rng=rng, labels=labels)
+    """One batch's training loss as a graph. The aux head builds its loss
+    term inside path 2, so that backward runs it on the worker too."""
+    out, aux = _forward(indices, params, k, True, rng, labels)
     l_main = bce_loss(out.y_main, labels)
-    return l_main if out.aux_loss is None else nm.add(l_main, out.aux_loss)
+    return l_main if aux is None else nm.add(l_main, aux)
 
 
 def backward_and_accumulate(indices, labels, params, k, rng):

@@ -370,19 +370,6 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _product(x, y):
-    """np.matmul(x, y), bit for bit. For matrices with an inner dimension
-    of 1 it is an outer product, computed as the broadcast product x * y:
-    one multiply per entry, as the k=1 GEMM, whose sum from +0.0 turns a
-    -0.0 product into +0.0, as adding +0.0 does here. When both hold a
-    NaN, the two can pass on different ones, so np.matmul runs then."""
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != 1 or (np.isnan(x).any() and np.isnan(y).any()):
-        return np.matmul(x, y)
-    out = x * y
-    out += 0.0
-    return out
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.value.shape[-1] != b.value.shape[-2 if b.value.ndim > 1 else 0]:
@@ -391,10 +378,10 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            ga = _product(g, np.swapaxes(b.value, -1, -2))
+            ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
             _accum(a, _unbroadcast(ga, a.value.shape), fresh=True)
         if b.requires_grad:
-            gb = _product(np.swapaxes(a.value, -1, -2), g)
+            gb = np.matmul(np.swapaxes(a.value, -1, -2), g)
             _accum(b, _unbroadcast(gb, b.value.shape), fresh=True)
 
     return Tensor(out_val, (a, b), backward)
@@ -790,7 +777,7 @@ def cross(x0, x_l, w, b):
         _accum(x0, g * proj, fresh=True)
         g_proj = _unbroadcast(g * x0.value, proj.shape)
         if x_l.requires_grad:
-            _accum(x_l, _product(g_proj, np.swapaxes(w.value.reshape(m, 1), -1, -2)))
+            _accum(x_l, np.matmul(g_proj, np.swapaxes(w.value.reshape(m, 1), -1, -2)))
         if w.requires_grad:
             _accum(w, np.matmul(np.swapaxes(x_l.value, -1, -2), g_proj).reshape(m))
 

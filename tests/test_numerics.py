@@ -264,22 +264,6 @@ def test_passed_on_gradients_that_meet_again_match_finite_differences(case):
     assert nm.max_relative_error(analytic, numeric) < 1e-6
 
 
-@pytest.mark.parametrize("shape", [(37, 1, 23), (1, 1, 1), (5, 1, 400)])
-def test_outer_product_backward_bitwise_equal_to_matmul(shape):
-    # matmul's backward forms a k=1 product by broadcasting; zeros of
-    # either sign, infinities and NaN of either sign included
-    m, _, n = shape
-    rng = Rng(11)
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, 1e308])
-    x, y = rng.normal((m, 1)), rng.normal((1, n))
-    for arr in (x, y):
-        flat = arr.reshape(-1)
-        flat[::3] = special[rng.integers(0, len(special), flat[::3].size)]
-    for a, b in ((x, y), (x, np.swapaxes(np.ascontiguousarray(y.T), 0, 1)), (np.nan_to_num(x), y)):
-        with np.errstate(all="ignore"):
-            assert nm._product(a, b).tobytes() == np.matmul(a, b).tobytes()
-
-
 class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(42).split("x").normal((10,))
