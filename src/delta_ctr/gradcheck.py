@@ -77,16 +77,34 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     # the bias moves the one preactivation near the relu kink (0.014) to 0.51
     bias = Tensor([0.5, 0.0])
     _check("dense", lambda: nm.tsum(nm.mul(nm.dense(a, b, bias), c.value)), [a, b, bias], tol, results)
+    # the same mask each call: every call draws from a fresh Rng(7) stream
+    _check(
+        "dense/dropout",
+        lambda: nm.tsum(nm.mul(nm.dense(a, b, bias, 0.4, Rng(7).split("drop")), c.value)),
+        [a, b, bias],
+        tol,
+        results,
+    )
     emb = Tensor(rng.normal((2, 4, 3)))
     heads = [Tensor(rng.normal((3, 3))) for _ in range(3)]
     weights = rng_fixed_weights((2, 12))
     for label, k, scope in (("ctm_head", 2, "row"), ("ctm_head/global", 1, "global"), ("ctm_head/k=n", 4, "row")):
         _check(label, lambda k=k, scope=scope: nm.tsum(nm.mul(nm.ctm_head(emb, *heads, k, scope)[0], weights)), [emb] + heads, tol, results)
-    # a batch one instance longer than the head's slice: the weight gradients sum over two slices
-    wide = rng.split("slices")
-    emb2, heads2 = Tensor(wide.normal((nm.HEAD_SLICE + 1, 3, 2))), [Tensor(wide.normal((2, 2))) for _ in range(3)]
-    weights2 = rng_fixed_weights((nm.HEAD_SLICE + 1, 6))
-    _check("ctm_head/2 slices", lambda: nm.tsum(nm.mul(nm.ctm_head(emb2, *heads2, 2)[0], weights2)), [emb2] + heads2, tol, results)
+    # a batch one instance longer than the head's slice: the weight gradients
+    # sum over two slices. emb is differenced at the boundary only, on the
+    # last 3 instances (2 in the first slice, 1 in the second); differencing
+    # all of its entries would take minutes
+    wide, b2 = rng.split("slices"), nm.head_slice(3) + 1
+    emb2, heads2 = wide.normal((b2, 3, 2)), [Tensor(wide.normal((2, 2))) for _ in range(3)]
+    fixed, edge = Tensor(emb2[:-3], requires_grad=False), Tensor(emb2[-3:])
+    weights2 = rng_fixed_weights((b2, 6))
+    _check(
+        "ctm_head/2 slices",
+        lambda: nm.tsum(nm.mul(nm.ctm_head(nm.concat([fixed, edge], axis=0), *heads2, 2)[0], weights2)),
+        [edge] + heads2,
+        tol,
+        results,
+    )
     gate = Tensor(rng.normal((4,)))
     _check("gate_mix", lambda: nm.tsum(nm.mul(nm.gate_mix(a, nm.mul(a, a), gate), rng_fixed_weights(a.shape))), [a, gate], tol, results)
     probs = Tensor(rng.random((6,)) * 0.8 + 0.1)

@@ -149,10 +149,11 @@ class Mlp:
     layers: list[tuple[Tensor, Tensor]]
 
     def forward(self, x, dropout_rate, rng, training):
+        """Each layer is one dense node, with its dropout in training; layer
+        i draws its mask from rng.split(("drop", i))."""
+        rate = dropout_rate if training else 0.0
         for i, (w, b) in enumerate(self.layers):
-            x = nm.dense(x, w, b)
-            if dropout_rate > 0:
-                x = nm.dropout(x, dropout_rate, rng.split(("drop", i)), training)
+            x = nm.dense(x, w, b, rate, rng.split(("drop", i)) if rate > 0 else None)
         return x
 
 
@@ -227,8 +228,9 @@ class ModelParams:
         return {n: p.value.copy() for n, p in self.named_params()}
 
     def load_values(self, values):
+        """Make each tensor hold values[name], uncopied, as __init__ does."""
         for n, p in self.named_params():
-            p.value = values[n].copy()
+            p.value = values[n]
 
 
 @dataclass

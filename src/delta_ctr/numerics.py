@@ -113,6 +113,11 @@ def on_path(i):
 
 _branch_pool = None  # the one worker thread, made on first use
 _branch_pool_lock = threading.Lock()
+_worker_thread = threading.local()  # .marked is True on the worker thread only
+
+
+def _mark_worker():
+    _worker_thread.marked = True
 
 
 def _drop_branch_pool():
@@ -129,7 +134,7 @@ def _branch_worker():
     with _branch_pool_lock:
         if _branch_pool is None:
             _branch_pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="delta-tower2"
+                max_workers=1, thread_name_prefix="delta-tower2", initializer=_mark_worker
             )
         return _branch_pool
 
@@ -138,8 +143,10 @@ def concurrently(first, second):
     """Run second() on the one worker thread, in a copy of this context (so
     no_grad() holds there), while first() runs here; return both results.
     Numpy and BLAS release the GIL, so the two overlap. Whichever raises,
-    the other has ended before the error leaves. second() must not call
-    concurrently() itself: the worker would wait on itself."""
+    the other has ended before the error leaves. Called on the worker
+    itself, which would wait on itself, it raises GraphError."""
+    if getattr(_worker_thread, "marked", False):
+        raise GraphError("concurrently() called on the worker thread, which would wait on itself")
     future = _branch_worker().submit(contextvars.copy_context().run, second)
     try:
         a = first()
@@ -264,11 +271,14 @@ def _consumed(g):
 
 
 def _run(node, root):
-    """Run one node's closure, then consume the node."""
+    """Run one node's closure, then consume the node. The closure owns the
+    gradient it is given: it may write into it or hand pieces of it on
+    (see _accum), since the node drops it once the closure has run. The
+    root keeps its gradient, so its closure is given a copy."""
     if node._backward is None:
         return
     if node.grad is not None:
-        node._backward(node.grad)
+        node._backward(node.grad.copy() if node is root else node.grad)
     node._backward, node._parents = _consumed, ()
     if node is not root:
         node.grad = None
@@ -336,9 +346,10 @@ def as_tensor(x):
 def _accum(node, g, rows=None, fresh=False):
     """Add g into node.grad, or into its given rows (gather's scatter).
     A node's first gradient is a copy of g, unless g is fresh: an array of
-    the node's shape that the closure has just made and reads no more,
-    which then becomes node.grad itself. A g that passes the incoming
-    gradient on (a view, a broadcast, a piece of it) is copied.
+    the node's shape that the closure has just made, or a piece of the
+    gradient it owns (see _run) that it hands to this node alone, and
+    reads no more; g then becomes node.grad itself. A g that passes the
+    incoming gradient on whole (a view, a broadcast) is copied.
     Inside path 2's block of a concurrent backward a node outside path 2
     is not touched: the call is held for the caller to make later."""
     if not node.requires_grad:
@@ -495,9 +506,11 @@ def concat(tensors, axis=-1):
     sizes = [t.value.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
+    # each piece is a view of the g the node owns, and no two overlap:
+    # concat([x, x]) keeps the first as x's gradient and adds the second in
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            _accum(t, piece, fresh=True)
 
     return Tensor(out_val, tuple(tensors), backward)
 
@@ -608,18 +621,54 @@ def _relu_inplace(a):
     a += 0.0
 
 
-def dense(x, w, b):
-    """relu(x @ w + b) as one node. Backward keeps x, w and the output,
-    whose positive entries are the ones the ReLU passed."""
+# Below this size dense's backward writes its first product of a strided
+# gradient to a new array, which the next two products then update in
+# place. numpy's loops run at half speed or less on a strided array, and on
+# a concat's short rows both threads update cache lines the two pieces
+# share: a train-synth step (pieces of 128 and 256 KiB) took 5.4-5.7 ms
+# updating them in place and 5.2 ms with new arrays. On paper-size pieces
+# (12.5 and 25 MiB) a new array is dearer than the slow loops:
+# train-paper trained x1.122 over the parent updating in place, x1.078
+# with new arrays, and peaked 23 MB higher.
+STRIDED_COPY_BYTES = 1 << 20
+
+
+def dense(x, w, b, rate=0.0, rng=None):
+    """relu(x @ w + b) as one node, followed, at a rate above 0, by inverted
+    dropout drawn from rng: the bits of dense at rate 0 followed by the
+    dropout primitive, with the same draws. Backward keeps x, w, the output
+    and dropout's boolean mask. An entry the ReLU passed is positive after
+    dropout if it was kept (1/(1-rate) >= 1 keeps it positive) and +0.0 or
+    NaN if dropped, so the output's positive entries are the kept ones the
+    ReLU passed; the gradient of a dropped entry is g * 0.0 either way, the
+    same signed zero or NaN as the composed pair gives. Backward applies
+    keep, scale and that mask, in that order, to the gradient the node
+    owns."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.value.shape[-1] != w.value.shape[-2]:
         raise DimensionError(f"dense: inner dims differ, {x.shape} x {w.shape}")
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
     out_val = np.matmul(x.value, w.value)
     out_val += b.value
     _relu_inplace(out_val)  # gradient is 0 at exactly 0
+    keep = None
+    if rate > 0.0:
+        keep = rng.random(out_val.shape) >= rate
+        s = 1.0 / (1.0 - rate)
+        out_val *= keep
+        out_val *= s
 
+    # in place on the gradient the node owns, unless it is a small strided
+    # one (a piece of a concat's gradient; see STRIDED_COPY_BYTES)
     def backward(g):
-        g = g * (out_val > 0)
+        own = g if g.flags.c_contiguous or g.nbytes >= STRIDED_COPY_BYTES else None
+        if keep is not None:
+            g = np.multiply(g, keep, out=own)
+            g *= s
+            g *= out_val > 0
+        else:
+            g = np.multiply(g, out_val > 0, out=own)
         _accum(b, _unbroadcast(g, b.value.shape))
         if x.requires_grad:
             _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.value.shape), fresh=True)
@@ -629,11 +678,37 @@ def dense(x, w, b):
     return Tensor(out_val, (x, w, b), backward)
 
 
-HEAD_SLICE = 256  # instances per pass of ctm_head, which bounds its (slice, n, n) temporaries
+# attention weights per pass of ctm_head (see head_slice). On 2 vCPUs with
+# one BLAS thread, a paper-size train step (n=39, B=4096) took 410-418 ms
+# fwd+bwd at 2^15, 394-401 ms at 2^16, 398-400 ms at 2^17 and 404-406 ms at
+# 2^18, and its inference forward 157, 139, 134 and 135 ms; at n=10, B=512,
+# every budget from 2^16 on is one slice, and 2^12 (40 instances) cost a
+# step 30% more.
+HEAD_WEIGHTS = 1 << 17
 
 
-def _slices(b):
-    return [slice(lo, min(lo + HEAD_SLICE, b)) for lo in range(0, b, HEAD_SLICE)]
+def head_slice(n):
+    """Instances per pass of ctm_head at n fields: as many as HEAD_WEIGHTS
+    attention weights hold, and at least one. The budget bounds the head's
+    (slice, n, n) temporaries."""
+    return max(1, HEAD_WEIGHTS // (n * n))
+
+
+def _slices(b, n):
+    size = head_slice(n)
+    return [slice(lo, min(lo + size, b)) for lo in range(0, b, size)]
+
+
+def _row_max(ws):
+    """ws.max(axis=-1, keepdims=True), taken one column at a time with
+    np.maximum, which is cheaper on short rows. A maximum is exact in any
+    order and np.maximum keeps NaN as max does; of a tie of +0.0 and -0.0
+    either may come out, and the softmax reads the row max only through
+    exp(ws - max), where exp(+0.0) and exp(-0.0) are both 1."""
+    top = ws[..., :1].copy()
+    for j in range(1, ws.shape[-1]):
+        np.maximum(top, ws[..., j : j + 1], out=top)
+    return top
 
 
 def _truncated(ws, mask, nan):
@@ -661,7 +736,7 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     per slice, and recomputes the three projections from emb and the
     truncated weights from the weights and the mask.
 
-    Forward and backward run over HEAD_SLICE instances at a time. Every op
+    Forward and backward run over head_slice(n) instances at a time. Every op
     works per instance, so the bits do not depend on the slicing, except
     the three weight-gradient sums over the batch, which backward takes
     over the whole assembled projection gradients.
@@ -677,13 +752,13 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     w = np.empty((b, n, n))
     mask = np.ones(w.shape, dtype=bool) if k == n else np.empty(w.shape, dtype=bool)
     out_val = np.empty((b, n, d))
-    slices = _slices(b)
+    slices = _slices(b, n)
     has_nan = []  # per slice: does a weight row hold NaN
     for s in slices:
         xs, ws = x[s], w[s]
         np.matmul(np.matmul(xs, w_q.value), np.swapaxes(np.matmul(xs, w_k.value), -1, -2), out=ws)
         ws *= c
-        ws -= ws.max(axis=-1, keepdims=True)
+        ws -= _row_max(ws)
         np.exp(ws, out=ws)
         sums = ws.sum(axis=-1, keepdims=True)  # NaN exactly where its row holds a NaN
         ws /= sums

@@ -256,7 +256,10 @@ def fit(config, settings, train_ds, val_ds, seed):
     )
     history = TrainHistory()
     root = Rng(seed)
-    best = {"loss": math.inf, "values": params.copy_values(), "k": n}
+    # the best epoch's values, copied only where a later epoch could
+    # overwrite them; None: the parameters as they stand are the best
+    best_loss, best_k = math.inf, n
+    best_values = params.copy_values() if settings.t_max > 0 else None
     for epoch in range(settings.t_max):
         k = settings.fixed_k if settings.fixed_k is not None else sched.c
         epoch_rng = root.split(("epoch", epoch))
@@ -284,10 +287,13 @@ def fit(config, settings, train_ds, val_ds, seed):
                 flag=sched.flag,
             )
         )
-        if val.logloss < best["loss"]:
-            best = {"loss": val.logloss, "values": params.copy_values(), "k": k}
         sched = curriculum_step(sched, val.logloss)
-        if sched.lr < settings.lr_floor:
+        last = epoch + 1 == settings.t_max or sched.lr < settings.lr_floor
+        if val.logloss < best_loss:
+            best_loss, best_k = val.logloss, k
+            best_values = None if last else params.copy_values()
+        if last:
             break
-    params.load_values(best["values"])
-    return params, history, best["k"]
+    if best_values is not None:
+        params.load_values(best_values)
+    return params, history, best_k

@@ -653,6 +653,28 @@ def test_no_two_gradients_of_a_step_share_memory():
             assert not np.shares_memory(ga, gb), (a, b)
 
 
+@pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, True), (0.3, False)])
+def test_tower_is_one_node_per_layer_bitwise_equal_to_dense_then_dropout(rate, training):
+    rng = Rng(8)
+    x = Tensor(rng.normal((16, 6)))
+    tower = model_mod.Mlp([(Tensor(rng.normal((a, b))), Tensor(rng.normal((b,)))) for a, b in ((6, 5), (5, 4))])
+    upstream = rng.normal((16, 4))
+
+    def composed():
+        h = x
+        for i, (w, b) in enumerate(tower.layers):
+            h = nm.dropout(nm.dense(h, w, b), rate, Rng(9).split(("drop", i)), training)
+        return h
+
+    out = tower.forward(x, rate, Rng(9), training)
+    assert out._parents[0]._parents[0] is x  # one node per layer
+    assert out.value.tobytes() == composed().value.tobytes()
+    params = [x] + [t for layer in tower.layers for t in layer]
+    got = nm.grad_of(lambda: nm.tsum(nm.mul(tower.forward(x, rate, Rng(9), training), upstream)), params)
+    want = nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), params)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 class TestFullModelGradients:
     @pytest.mark.parametrize("variant", ["full", "ctm_soft", "no_efg", "eeo_concat", "eeo_fm", "mlp_only"])
     def test_fd_agreement(self, variant):

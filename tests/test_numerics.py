@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -237,12 +238,58 @@ def test_backward_matches_finite_differences(seed):
     assert nm.max_relative_error(analytic, numeric) < 1e-4
 
 
+class TestConcat:
+    def test_pieces_are_views_of_the_gradient_and_meet_again(self):
+        # concat([x, x]): the first piece becomes x's gradient uncopied,
+        # and the second is added into it
+        rng = Rng(73)
+        x = Tensor(rng.normal((3, 2)))
+        upstream = rng.normal((3, 4))
+        nm.tsum(nm.mul(nm.concat([x, x], axis=-1), upstream)).backward()
+        assert_same_bits(x.grad, upstream[:, :2] + upstream[:, 2:])
+        assert x.grad.base is not None and x.grad.base.shape == (3, 4)
+
+    def test_a_root_concat_keeps_its_gradient(self):
+        x = Tensor([2.0])
+        root = nm.concat([x])
+        root.backward()
+        x.grad += 5.0  # x's gradient is no view of the root's
+        assert root.grad.tolist() == [1.0] and x.grad.tolist() == [6.0]
+
+
+def test_concurrently_on_the_worker_raises():
+    """The one worker would wait on itself. The call runs on a fresh pool,
+    so a hang stays out of the pool the other tests use, and cancelling
+    what is queued there frees a worker that waits on itself."""
+    pool = nm._branch_pool
+    nm._branch_pool = None
+    errors = []
+
+    def nested():
+        try:
+            nm.concurrently(lambda: None, lambda: nm.concurrently(lambda: 1, lambda: 2))
+        except GraphError as e:
+            errors.append(e)
+
+    try:
+        caller = threading.Thread(target=nested, daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        hung = caller.is_alive()
+    finally:
+        nm._branch_pool.shutdown(wait=False, cancel_futures=True)
+        nm._branch_pool = pool
+    assert not hung, "concurrently() on the worker hung"
+    assert len(errors) == 1 and "worker" in str(errors[0])
+
+
 @pytest.mark.parametrize("case", ["add_self", "reshape", "concat"])
 def test_passed_on_gradients_that_meet_again_match_finite_differences(case):
-    """A first gradient that passes the incoming one on is copied, so a
-    later accumulation into the same node cannot write into another's:
-    add(x, x), a reshape that meets x again, and a concat whose pieces meet
-    again each still give the gradcheck-correct gradient."""
+    """A first gradient that passes the incoming one on whole is copied, so
+    a later accumulation into the same node cannot write into another's:
+    add(x, x) and a reshape that meets x again each still give the
+    gradcheck-correct gradient, and so does a concat whose pieces, views
+    that do not overlap, meet again."""
     rng = Rng(7)
     x = Tensor(rng.normal((3, 4)))
     v = Tensor(rng.normal((4, 4)))
@@ -422,7 +469,8 @@ class TestCtmHead:
     def test_bitwise_equal_to_composed_primitives(self, k, scope):
         # batches within one of the head's slices, one instance into a
         # second, and ending inside a third
-        for b in (5, nm.HEAD_SLICE + 1, 600):
+        size = nm.head_slice(6)
+        for b in (5, size + 1, 2 * size + 100):
             rng = Rng(20 + k)
             emb = Tensor(rng.normal((b, 6, 3)))
             head = make_head(3, rng.split("h"))
@@ -436,7 +484,7 @@ class TestCtmHead:
     @pytest.mark.parametrize("scope", ["row", "global"])
     def test_nan_instance_in_the_second_slice(self, scope, monkeypatch):
         # the second slice holds only the NaN instance, and the first none
-        b = nm.HEAD_SLICE + 1
+        b = nm.head_slice(6) + 1
         rng = Rng(50)
         emb = Tensor(rng.normal((b, 6, 3)))
         emb.value[-1, 2, 0] = np.nan
@@ -448,6 +496,18 @@ class TestCtmHead:
         assert np.all(theta[~mask] == 0)
         # np.where in the NaN slice only: two forwards and one backward
         assert flags == [False, True] * 3
+
+    def test_row_max_equals_max_over_the_last_axis(self):
+        # rows with NaN, +-inf and ties of +0.0 and -0.0 at every position
+        rng = Rng(72)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1.0])
+        for n in (1, 3, 39):
+            ws = values[rng.integers(0, len(values), (4, n, n))]
+            ws[0] = np.where(rng.random((n, n)) < 0.5, 0.0, -0.0)
+            got, want = nm._row_max(ws), ws.max(axis=-1, keepdims=True)
+            assert np.array_equal(got, want, equal_nan=True)
+            with np.errstate(invalid="ignore"):  # the softmax reads the max only this way
+                assert_same_bits(np.exp(ws - got), np.exp(ws - want))
 
     def test_truncated_weights_are_np_where(self):
         w = np.array([[[0.25, 0.0, 0.75], [np.nan, np.nan, np.nan]]])
@@ -569,6 +629,57 @@ class TestDense:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             nm.dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, True), (0.5, True), (0.5, False)])
+    def test_with_dropout_bitwise_equal_to_dense_then_dropout(self, rate, training):
+        # One row, so b's and w's gradients are the dense node's incoming
+        # gradient entry by entry. With x = 1 the preactivations are w's
+        # entries: 1e308 overflows when scaled by 2, and an inf turns NaN
+        # when dropped. The upstream gradient holds NaN, +-inf, +-0 and
+        # +-1e308, in every pairing with w's entries, kept and dropped.
+        x = Tensor(np.ones((1, 1)))
+        w = Tensor(np.resize([1e308, np.inf, -np.inf, 0.0, 1.0, 2.5, -2.5, -1.0], (1, 480)))
+        b = Tensor(np.zeros(480))
+        upstream = np.resize(SPECIAL_VALUES + [1e308, -1e308], (1, 480))
+
+        def composed():
+            return nm.dropout(nm.dense(x, w, b), rate, Rng(71), training)
+
+        def fused():
+            return nm.dense(x, w, b, rate if training else 0.0, Rng(71))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fused().value
+            assert_same_bits(out, composed().value)
+            got = nm.grad_of(lambda: nm.tsum(nm.mul(fused(), upstream)), [x, w, b])
+            want = nm.grad_of(lambda: nm.tsum(nm.mul(composed(), upstream)), [x, w, b])
+        for a, c in zip(got, want):
+            assert_same_bits(a, c)
+        if rate == 0.5 and training:  # a kept 1e308 overflowed, a dropped inf is NaN
+            assert np.isposinf(out[0, ::8]).any() and np.isnan(out[0, 1::8]).any()
+
+    @pytest.mark.parametrize("copy_bytes", [1 << 20, 0])
+    def test_strided_gradient_bitwise_equal_to_dense_then_dropout(self, copy_bytes, monkeypatch):
+        # the dense output is a concat's first piece, so its gradient is a
+        # strided view: written to a new array below STRIDED_COPY_BYTES and
+        # updated in place from it on
+        monkeypatch.setattr(nm, "STRIDED_COPY_BYTES", copy_bytes)
+        rng = Rng(74)
+        x, w, b, side = (Tensor(rng.normal(shape)) for shape in ((6, 5), (5, 4), (4,), (6, 3)))
+        upstream = rng.normal((6, 7))
+        for rate in (0.0, 0.5):
+            def loss(fused):
+                h = nm.dense(x, w, b, rate, Rng(75)) if fused else nm.dropout(nm.dense(x, w, b), rate, Rng(75), True)
+                return nm.tsum(nm.mul(nm.concat([h, side], axis=-1), upstream))
+
+            got = nm.grad_of(lambda: loss(True), [x, w, b, side])
+            want = nm.grad_of(lambda: loss(False), [x, w, b, side])
+            for a, c in zip(got, want):
+                assert_same_bits(a, c)
+
+    def test_bad_dropout_rate(self):
+        with pytest.raises(ParameterError):
+            nm.dense(np.ones((1, 1)), np.ones((1, 1)), np.zeros(1), 1.0, Rng(0))
 
 
 class TestGateMix:

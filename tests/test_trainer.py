@@ -297,6 +297,35 @@ class TestFit:
         got = trainer_mod.evaluate(params, va, k)
         assert got.logloss == pytest.approx(best, abs=1e-12)
 
+    def copies(self, monkeypatch):
+        """The dicts each ModelParams.copy_values call returns."""
+        made, copy_values = [], ModelParams.copy_values
+        monkeypatch.setattr(ModelParams, "copy_values", lambda self: made.append(copy_values(self)) or made[-1])
+        return made
+
+    def test_one_epoch_copies_the_parameters_once(self, monkeypatch):
+        # the initial values, which the epoch overwrites; the epoch's own
+        # values are the last and are returned as they stand
+        tr, va, _ = small_data()
+        made = self.copies(monkeypatch)
+        st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=1)
+        params, history, _ = trainer_mod.fit(small_config(), st, tr, va, seed=3)
+        assert len(made) == 1 and len(history.records) == 1
+        assert not any(p.value is made[0][n] for n, p in params.named_params())
+
+    @pytest.mark.parametrize("t_max", [1, 3])
+    def test_never_finite_validation_loss_returns_the_initial_parameters_uncopied(self, t_max, monkeypatch):
+        tr, va, _ = small_data()
+        made = self.copies(monkeypatch)
+        monkeypatch.setattr(trainer_mod, "evaluate", lambda params, ds, k: trainer_mod.EvalResult(
+            auc=0.5, logloss=math.nan, n_instances=len(ds)))
+        st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=t_max)
+        params, history, k = trainer_mod.fit(small_config(), st, tr, va, seed=3)
+        assert len(history.records) == t_max and k == 4 and len(made) == 1
+        initial = ModelParams.init(small_config(), tr.vocab_sizes, 3)
+        for (n, p), (_, q) in zip(params.named_params(), initial.named_params()):
+            assert p.value is made[0][n] and p.value.tobytes() == q.value.tobytes()
+
     def test_history_file_format(self, tmp_path):
         tr, va, _ = small_data()
         st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=2)
