@@ -9,10 +9,10 @@ cache format ("DLTA") avoids re-encoding between runs.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -92,43 +92,176 @@ def _detect_delimiter(header_line):
     return "\t" if "\t" in header_line else ","
 
 
-def read_raw(path):
-    """Parse a delimited file into (schema, label list, token columns).
+@dataclass(eq=False)
+class Column:
+    """One field factorized: its distinct tokens in code-point order, how
+    many rows hold each, and each row's index into them."""
 
-    The header must contain a `label` column; every other column is a field,
-    returned as one tuple of its tokens in file order.
-    """
-    with open(path, newline="") as f:
-        first = f.readline()
-        if not first:
-            raise DataError(f"{path}: empty file")
-        delim = _detect_delimiter(first)
-        header = next(csv.reader([first], delimiter=delim))
-        if "label" not in header:
-            raise DataError(f"{path}: no 'label' column in header {header}")
-        label_col = header.index("label")
-        labels, rows = [], []
-        for lineno, row in enumerate(csv.reader(f, delimiter=delim), start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            try:
-                y = float(row[label_col])
-            except ValueError:
-                y = None
-            if y not in (0.0, 1.0):  # so neither 0.7, 1.5 nor inf passes
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[label_col]!r}")
-            labels.append(int(y))
-            rows.append(row)
+    tokens: list[str]
+    counts: np.ndarray  # (n_distinct,) intp
+    codes: np.ndarray  # (n_rows,) intp
+
+    @classmethod
+    def of(cls, tokens):
+        """The column of a sequence of token strings, one per row."""
+        enc = [t.encode() for t in tokens]
+        buf = b"".join(enc)
+        if b"\0" in buf:
+            raise DataError("a token holds a NUL byte")
+        lengths = np.fromiter(map(len, enc), np.intp, len(enc))
+        return _factorize(np.frombuffer(buf, np.uint8), np.cumsum(lengths) - lengths, lengths)
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __eq__(self, other):
+        return (isinstance(other, Column) and self.tokens == other.tokens
+                and np.array_equal(self.counts, other.counts)
+                and np.array_equal(self.codes, other.codes))
+
+
+# _PREFIX[n] keeps the first n bytes of a big-endian 8-byte word
+_PREFIX = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], np.uint64)
+
+
+def _factorize(buf, starts, lengths):
+    """The Column of the tokens buf[s : s + n] for s, n in zip(starts,
+    lengths). Each token's bytes, zero-padded to a common width, are one
+    key compared big-endian, which orders keys as their strings: UTF-8
+    byte order is code-point order, and no token holds a NUL byte."""
+    width = int(lengths.max(initial=0))
+    if width <= 8:
+        if buf.size < 8:
+            buf = np.concatenate([buf, np.zeros(8, np.uint8)])
+        words = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one word at each byte
+        at = np.minimum(starts, buf.size - 8)  # a token in the last 7 bytes is read from the last word
+        keys = (words[at] << (8 * (starts - at)).astype(np.uint64)) & _PREFIX[lengths]
+    else:
+        cells = buf.take(starts[:, None] + np.arange(width), mode="clip")
+        cells *= np.arange(width) < lengths[:, None]
+        keys = cells.view(f"S{width}")[:, 0]
+    distinct, codes, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    if width <= 8:
+        distinct, width = distinct.astype(">u8"), 8
+    tokens = b"\0".join(distinct.view(f"S{width}").tolist()).decode().split("\0")
+    return Column(tokens if len(distinct) else [], counts, codes)
+
+
+def _line_at(raw, pos):
+    """1-based line of byte pos, lines ending at LF, CR or CRLF as csv reads them."""
+    head = raw[:pos]
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+
+
+def _check_bytes(path, raw):
+    """DataError at the line of a NUL byte, or else of the first byte
+    that is not UTF-8."""
+    at, what = raw.find(b"\0"), "a NUL byte is not allowed"
+    if at < 0 and not raw.isascii():
+        try:
+            raw.decode()
+        except UnicodeDecodeError as e:
+            at, what = e.start, f"not UTF-8 (byte 0x{raw[e.start]:02x} at offset {e.start}: {e.reason})"
+    if at >= 0:
+        raise DataError(f"{path}:{_line_at(raw, at)}: {what}")
+
+
+def _header(path, first):
+    """(delimiter, header, label column) of the file's first line."""
+    if not first:
+        raise DataError(f"{path}: empty file")
+    delim = _detect_delimiter(first)
+    header = next(csv.reader([first], delimiter=delim))
+    if "label" not in header:
+        raise DataError(f"{path}: no 'label' column in header {header}")
+    return delim, header, header.index("label")
+
+
+def _label(tok):
+    """0 or 1 of a label token; None unless it parses to exactly 0 or 1."""
+    try:
+        y = float(tok)
+    except ValueError:
+        return None
+    return int(y) if y in (0.0, 1.0) else None  # so neither 0.7, 1.5 nor inf passes
+
+
+def _split_bytes(path, raw):
+    """(header, label column, labels, columns) of a file with no quote or
+    CR, split at delimiter and newline bytes; None if a line other than a
+    blank one has another column count than the header, or a label is not
+    0 or 1, for csv to report."""
+    body = raw.find(b"\n") + 1 or len(raw)
+    delim, header, label_col = _header(path, raw[:body].decode())
+    buf = np.frombuffer(raw, np.uint8)
+    is_cut = buf == ord(delim)
+    is_cut |= buf == 10
+    is_cut[:body] = False
+    cuts = np.flatnonzero(is_cut)  # where each token ends
+    del is_cut
+    if len(raw) > body and raw[-1] != 10:
+        cuts = np.append(cuts, len(raw))  # the last line has no newline
+    is_end = buf.take(cuts, mode="clip") == 10
+    is_end[-1:] = True
+    last = np.flatnonzero(is_end)  # each line's last token, as an index into cuts
+    first = np.append(0, last + 1)[:-1]  # and its first
+    start = np.append(body, cuts[last] + 1)[:-1]  # each line's first byte
+    blank = (first == last) & (cuts[last] == start)
+    if not np.all(blank | (last - first + 1 == len(header))):
+        return None
+    first, start = first[~blank], start[~blank]
+    columns = []
+    for j in range(len(header)):
+        starts = start if j == 0 else cuts[first + j - 1] + 1
+        columns.append(_factorize(buf, starts, cuts[first + j] - starts))
+    label_column = columns.pop(label_col)
+    values = [_label(tok) for tok in label_column.tokens]
+    if None in values:
+        return None
+    labels = np.array(values, np.uint8)[label_column.codes].tolist()
+    return header, label_col, labels, columns
+
+
+def _read_csv(path, text):
+    """(header, label column, labels, columns) of a file read by csv, row
+    by row; a DataError names the line of a bad column count or label."""
+    f = io.StringIO(text, newline="")
+    delim, header, label_col = _header(path, f.readline())
+    labels, rows = [], []
+    for lineno, row in enumerate(csv.reader(f, delimiter=delim), start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        y = _label(row[label_col])
+        if y is None:
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[label_col]!r}")
+        labels.append(y)
+        rows.append(row)
     columns = list(zip(*rows)) or [()] * len(header)
     del columns[label_col]
+    return header, label_col, labels, [Column.of(col) for col in columns]
+
+
+def read_raw(path):
+    """Parse a delimited UTF-8 file into (schema, label list, columns).
+
+    The header must contain a `label` column; every other column is a
+    field, returned as one Column of its tokens in file order. A file with
+    no quote and no CR is split at its bytes; any other, and one that fails
+    that split's checks, is read by csv.
+    """
+    with open(path, "rb") as f:
+        raw = f.read()
+    _check_bytes(path, raw)
+    parsed = None if b'"' in raw or b"\r" in raw else _split_bytes(path, raw)
+    header, label_col, labels, columns = parsed or _read_csv(path, raw.decode())
     schema = [FieldSchema(name) for i, name in enumerate(header) if i != label_col]
     return schema, labels, columns
 
 
 def build_vocab(columns, min_freq=1):
-    """Deterministic vocabulary per column: tokens seen at least min_freq
+    """Deterministic vocabulary per Column: tokens seen at least min_freq
     times take indices 1, 2, ... by count descending, then by token; every
     other token folds to index 0. Columns with rows of which no token is
     kept, in any column, are a DataError: every row would encode alike."""
@@ -136,10 +269,9 @@ def build_vocab(columns, min_freq=1):
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
     maps = []
     for col in columns:
-        counts = Counter(col)
-        kept = sorted(tok for tok, n in counts.items() if n >= min_freq)
-        kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in token order
-        maps.append({tok: j for j, tok in enumerate(kept, start=1)})
+        kept = np.flatnonzero(col.counts >= min_freq)
+        kept = kept[np.argsort(-col.counts[kept], kind="stable")]  # ties stay in token order
+        maps.append(dict(zip(map(col.tokens.__getitem__, kept.tolist()), range(1, kept.size + 1))))
     if any(len(col) for col in columns) and not any(maps):
         raise DataError(f"no token of any field appears {min_freq} times (min_freq): "
                         "every field would keep only its OOV row")
@@ -147,9 +279,11 @@ def build_vocab(columns, min_freq=1):
 
 
 def encode(schema, labels, columns, vocab):
+    """Dataset of Columns: each distinct token's index, taken by each row's code."""
     indices = np.zeros((len(labels), len(schema)), dtype=np.int32)
     for i, (col, index) in enumerate(zip(columns, vocab.maps)):
-        indices[:, i] = np.fromiter(map(index.get, col, repeat(0)), np.int32, len(col))
+        known = np.fromiter(map(index.get, col.tokens, repeat(0)), np.int32, len(col.tokens))
+        indices[:, i] = known[col.codes]
     return Dataset(
         schema=schema,
         indices=indices,

@@ -497,7 +497,7 @@ def dropout(a, rate, rng, training):
 def reshape(a, shape):
     a = as_tensor(a)
     orig = a.value.shape
-    return Tensor(a.value.reshape(shape), (a,), lambda g: _accum(a, g.reshape(orig)))
+    return Tensor(a.value.reshape(shape), (a,), lambda g: _accum(a, g.reshape(orig), fresh=True))
 
 
 def concat(tensors, axis=-1):

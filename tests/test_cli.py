@@ -97,6 +97,18 @@ class TestPrep:
         assert capsys.readouterr().err == f"error: {bad}:4: label must be 0 or 1, got {label!r}\n"
         assert not (tmp_path / "o.bin").exists()
 
+    @pytest.mark.parametrize("body, says", [
+        (b"1,x\n0,caf\xe9\n", "not UTF-8 (byte 0xe9 at offset 17: invalid continuation byte)"),
+        (b"1,x\n0,a\0b\n", "a NUL byte is not allowed"),
+    ])
+    def test_undecodable_byte_exit_1(self, tmp_path, capsys, body, says):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"label,a\n" + body)
+        rc = cli.main(["prep", "--input", str(bad), "--output", str(tmp_path / "o.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: {says}\n"
+        assert not (tmp_path / "o.bin").exists()
+
     def test_min_freq_folding_every_token_exit_1(self, toy_raw, tmp_path, capsys):
         cache = tmp_path / "o.bin"
         rc = cli.main(["prep", "--input", str(toy_raw), "--output", str(cache), "--min-freq", "1000"])

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delta_ctr import data as data_mod
 from delta_ctr import metrics, model
@@ -61,36 +63,36 @@ def rowwise_prep(path, min_freq=1):
 class TestBuildVocab:
     def test_threshold(self):
         col = ("a",) * 5 + ("b",) * 3 + ("c",)
-        v = data_mod.build_vocab([col], min_freq=2)
+        v = data_mod.build_vocab([data_mod.Column.of(col)], min_freq=2)
         assert v.maps[0] == {"a": 1, "b": 2}
-        d = data_mod.encode([data_mod.FieldSchema("f")], [0] * len(col), [col], v)
+        d = data_mod.encode([data_mod.FieldSchema("f")], [0] * len(col), [data_mod.Column.of(col)], v)
         assert d.indices[-1, 0] == 0  # "c" folds to OOV
 
     def test_min_freq_one_keeps_all(self):
-        v = data_mod.build_vocab([("a", "b", "c")], min_freq=1)
+        v = data_mod.build_vocab([data_mod.Column.of(("a", "b", "c"))], min_freq=1)
         assert set(v.maps[0]) == {"a", "b", "c"}
 
     def test_deterministic(self):
         cols = [("b", "a", "b", "a", "c"), ("z", "y", "z", "x", "z")]
-        v1 = data_mod.build_vocab(cols)
-        v2 = data_mod.build_vocab([tuple(reversed(c)) for c in cols])
+        v1 = data_mod.build_vocab([data_mod.Column.of(c) for c in cols])
+        v2 = data_mod.build_vocab([data_mod.Column.of(tuple(reversed(c))) for c in cols])
         assert v1.maps == v2.maps  # independent of row order
         assert v1.maps[1] == {"z": 1, "x": 2, "y": 3}
 
     def test_frequency_then_lexicographic_order(self):
-        v = data_mod.build_vocab([("b", "b", "a", "a", "c")])
+        v = data_mod.build_vocab([data_mod.Column.of(("b", "b", "a", "a", "c"))])
         assert v.maps[0] == {"a": 1, "b": 2, "c": 3}
 
     def test_min_freq_above_every_count_rejected(self):
-        cols = [("a", "b", "a"), ("x", "y", "z")]
+        cols = [data_mod.Column.of(("a", "b", "a")), data_mod.Column.of(("x", "y", "z"))]
         assert data_mod.build_vocab(cols, min_freq=2).sizes == [2, 1]  # one field keeps a token
         with pytest.raises(DataError, match="no token of any field appears 3 times"):
             data_mod.build_vocab(cols, min_freq=3)
-        assert data_mod.build_vocab([(), ()], min_freq=3).sizes == [1, 1]  # no rows: nothing to fold
+        assert data_mod.build_vocab([data_mod.Column.of(()), data_mod.Column.of(())], min_freq=3).sizes == [1, 1]  # no rows: nothing to fold
 
     def test_bad_min_freq(self):
         with pytest.raises(DataError, match="min_freq"):
-            data_mod.build_vocab([("a",)], min_freq=0)
+            data_mod.build_vocab([data_mod.Column.of(("a",))], min_freq=0)
 
 
 class TestBucketize:
@@ -199,7 +201,8 @@ class TestRawIO:
         schema, labels, columns = data_mod.read_raw(p)
         assert [f.name for f in schema] == ["color", "brand"]
         assert labels == [r[0] for r in TOY_ROWS]
-        assert columns == [tuple(r[1] for r in TOY_ROWS), tuple(r[2] for r in TOY_ROWS)]
+        assert columns == [data_mod.Column.of(tuple(r[1] for r in TOY_ROWS)),
+                           data_mod.Column.of(tuple(r[2] for r in TOY_ROWS))]
         vocab = data_mod.build_vocab(columns)
         assert vocab.maps == [{"red": 1, "blue": 2, "green": 3}, {"acme": 1, "bolt": 2}]
         d1 = data_mod.encode(schema, labels, columns, vocab)
@@ -249,6 +252,13 @@ PREP_CASES = {
     "blank_line": "label,a\n1,x\n\n0,y\n1,x\n",
     "tsv": "a\tlabel\tb\nx y\t1\tp,q\nx\t0\tp,q\nx y\t1\tp\n",
     "header_only": "label,a,b\n",
+    "crlf": "label,a,b\r\n1,x,p\r\n0,y,p\r\n\r\n1,x,q\r\n",
+    "no_final_newline": "label,a,b\n1,x,p\n0,y,p\n1,x,q",
+    "outer_blank_lines": "label,a,b\n\n\n1,x,p\n0,y,\n1,x,q\n\n\n",
+    "non_ascii": "label,a,b\n1,caf\u00e9,\u20ac\n0,cafe,\u20ac\n1,caf\u00e9,\u65e5\u672c\n0,\u00fc,\U0001f600\n",
+    # 8, 9 and 10 bytes, and a 3-character token of 9 bytes
+    "long_tokens": "label,a\n1,abcdefghij\n0,abcdefghi\n1,abcdefghij\n0,abcdefgh\n1,a\n0,\u65e5\u672c\u8a9e\n",
+    "prefix_token": "label,a,b\n1,ab,abcdefghi\n0,a,abcdefgh\n1,abc,abcdefghi\n0,ab,abcdefgh\n1,b,a\n",
 }
 
 
@@ -267,6 +277,95 @@ def test_columnar_prep_equals_rowwise_oracle(tmp_path, case, min_freq):
     assert d.indices.dtype == np.int32
     assert np.array_equal(d.indices, want)
     assert d.labels.tolist() == labels
+
+
+@st.composite
+def raw_files(draw):
+    """A small delimited file and its delimiter: 1-3 fields around a label
+    column, cells quoted never, as needed or always, empty cells, LF or
+    CRLF line ends and blank lines anywhere after the header."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    quoting = draw(st.sampled_from([None, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    alphabet = "ab \u00e9\u65e5\U0001f600" + ("" if quoting is None else ',\t"')
+    n_fields = draw(st.integers(1, 3))
+    label_col = draw(st.integers(0, n_fields))
+    tokens = st.lists(st.text(st.sampled_from(alphabet), max_size=10),
+                      min_size=n_fields, max_size=n_fields)
+    rows = draw(st.lists(st.tuples(st.sampled_from("01"), tokens), max_size=12))
+    blank_after = draw(st.lists(st.booleans(), min_size=len(rows) + 1, max_size=len(rows) + 1))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, delimiter=delim, lineterminator=end,
+                        quoting=csv.QUOTE_MINIMAL if quoting is None else quoting)
+    header = [f"f{i}" for i in range(n_fields)]
+    out.write(delim.join(header[:label_col] + ["label"] + header[label_col:]) + end)
+    for (label, toks), blank in zip(rows, blank_after):
+        out.write(end if blank else "")
+        writer.writerow(toks[:label_col] + [label] + toks[label_col:])
+    out.write(end if blank_after[-1] else "")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("min_freq", [1, 2])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=raw_files())
+def test_random_file_prep_equals_rowwise_oracle(tmp_path, min_freq, text):
+    p = tmp_path / "raw.txt"
+    p.write_bytes(text.encode())
+    want_labels, want_maps, want = rowwise_prep(p, min_freq)
+    schema, labels, columns = data_mod.read_raw(p)
+    assert labels == want_labels
+    if want.size and not any(want_maps):
+        with pytest.raises(DataError, match="no token of any field"):
+            data_mod.build_vocab(columns, min_freq)
+        return
+    vocab = data_mod.build_vocab(columns, min_freq)
+    assert [list(m.items()) for m in vocab.maps] == [list(m.items()) for m in want_maps]
+    assert np.array_equal(data_mod.encode(schema, labels, columns, vocab).indices, want)
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+@pytest.mark.parametrize("line, says", [
+    ("0{d}x", "expected 3 columns, got 2"),
+    ("0{d}x{d}y{d}z", "expected 3 columns, got 4"),
+    ("0.5{d}x{d}y", "label must be 0 or 1, got '0.5'"),
+    ("{d}x{d}y", "label must be 0 or 1, got ''"),
+])
+def test_quote_free_file_errors_as_csv_reads_them(tmp_path, delim, line, says):
+    """A bad line after a blank one in a file split at its bytes: csv's message and line."""
+    p = tmp_path / "bad.txt"
+    p.write_text("\n".join(["label{d}a{d}b", "1{d}x{d}y", "", line, "1{d}x{d}y"]).replace("{d}", delim) + "\n")
+    with pytest.raises(DataError) as e:
+        data_mod.read_raw(p)
+    assert str(e.value) == f"{p}:4: {says}"
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_nul_byte_raises_naming_its_line(tmp_path, delim, quote):
+    p = tmp_path / "nul.txt"
+    p.write_bytes(f"label{delim}a\n1{delim}{quote}x{quote}\n\n0{delim}a\0b\n1{delim}c\n".encode())
+    with pytest.raises(DataError) as e:
+        data_mod.read_raw(p)
+    assert str(e.value) == f"{p}:4: a NUL byte is not allowed"
+
+
+def test_column_of_a_token_holding_nul_raises():
+    with pytest.raises(DataError, match="NUL"):
+        data_mod.Column.of(("a", "a\0"))
+
+
+@pytest.mark.parametrize("raw, line", [
+    (b"label,a\n1,x\n0,caf\xe9\n", 3),
+    (b"label,a\r\n1,x\r\n0,\xff\r\n", 3),
+    (b"label,a\n1,\"x\"\n0,\xc3\n", 3),
+    (b"label,\xe9\n1,x\n", 1),
+])
+def test_invalid_utf8_raises_naming_its_line(tmp_path, raw, line):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(raw)
+    with pytest.raises(DataError, match=re.escape(f"{p}:{line}: not UTF-8")):
+        data_mod.read_raw(p)
 
 
 class TestCache:
