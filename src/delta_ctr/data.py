@@ -13,7 +13,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -37,16 +37,32 @@ class FieldSchema:
 
 @dataclass
 class Vocabulary:
-    """Per-field token -> index maps; index 0 is reserved for OOV/rare."""
+    """Per-field kept tokens in index order: tokens[i][j] has index j + 1
+    in field i, and index 0 is reserved for OOV/rare."""
 
-    maps: list[dict[str, int]]
+    tokens: list[list[str]]
+    # set by build_vocab: per field, the token list of the Column it read
+    # and where in it tokens[i] lie, so encode can index that Column
+    # without a dict
+    origin: list[tuple[list[str], np.ndarray]] | None = field(default=None, init=False, repr=False,
+                                                              compare=False)
+
+    @property
+    def maps(self):
+        """Per-field token -> index dicts, built on each call."""
+        return [_index_of(t) for t in self.tokens]
 
     @property
     def sizes(self):
-        return [len(m) + 1 for m in self.maps]
+        return [len(t) + 1 for t in self.tokens]
 
     def to_json(self):
-        return json.dumps({"maps": self.maps})
+        return json.dumps({"tokens": self.tokens})
+
+
+def _index_of(kept_tokens):
+    """token -> index dict of one field's kept tokens."""
+    return dict(zip(kept_tokens, range(1, len(kept_tokens) + 1)))
 
 
 @dataclass
@@ -187,10 +203,11 @@ def _label(tok):
 
 
 def _split_bytes(path, raw):
-    """(header, label column, labels, columns) of a file with no quote or
-    CR, split at delimiter and newline bytes; None if a line other than a
-    blank one has another column count than the header, or a label is not
-    0 or 1, for csv to report."""
+    """(header, label column, labels, columns) of a file with no quote, in
+    which every CR is right before an LF, split at delimiter and LF bytes
+    with each line's CR dropped; None if a line other than a blank one has
+    another column count than the header, or a label is not 0 or 1, for
+    csv to report."""
     body = raw.find(b"\n") + 1 or len(raw)
     delim, header, label_col = _header(path, raw[:body].decode())
     buf = np.frombuffer(raw, np.uint8)
@@ -206,6 +223,8 @@ def _split_bytes(path, raw):
     last = np.flatnonzero(is_end)  # each line's last token, as an index into cuts
     first = np.append(0, last + 1)[:-1]  # and its first
     start = np.append(body, cuts[last] + 1)[:-1]  # each line's first byte
+    if b"\r" in raw:
+        cuts[last] -= buf[cuts[last] - 1] == 13  # a line's last token ends before its CR
     blank = (first == last) & (cuts[last] == start)
     if not np.all(blank | (last - first + 1 == len(header))):
         return None
@@ -248,13 +267,16 @@ def read_raw(path):
 
     The header must contain a `label` column; every other column is a
     field, returned as one Column of its tokens in file order. A file with
-    no quote and no CR is split at its bytes; any other, and one that fails
-    that split's checks, is read by csv.
+    no quote, in which every CR ends a CRLF, is split at its bytes; any
+    other, and one that fails that split's checks, is read by csv.
     """
     with open(path, "rb") as f:
         raw = f.read()
     _check_bytes(path, raw)
-    parsed = None if b'"' in raw or b"\r" in raw else _split_bytes(path, raw)
+    # csv ends a line at a CR not right before an LF; the search spares a
+    # file with no CR the two counts, which take about 100 times as long
+    lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
+    parsed = None if b'"' in raw or lone_cr else _split_bytes(path, raw)
     header, label_col, labels, columns = parsed or _read_csv(path, raw.decode())
     schema = [FieldSchema(name) for i, name in enumerate(header) if i != label_col]
     return schema, labels, columns
@@ -267,22 +289,33 @@ def build_vocab(columns, min_freq=1):
     kept, in any column, are a DataError: every row would encode alike."""
     if min_freq < 1:
         raise DataError(f"min_freq must be >= 1, got {min_freq}")
-    maps = []
+    tokens, origin = [], []
     for col in columns:
         kept = np.flatnonzero(col.counts >= min_freq)
         kept = kept[np.argsort(-col.counts[kept], kind="stable")]  # ties stay in token order
-        maps.append(dict(zip(map(col.tokens.__getitem__, kept.tolist()), range(1, kept.size + 1))))
-    if any(len(col) for col in columns) and not any(maps):
+        tokens.append(np.array(col.tokens, dtype=object)[kept].tolist())
+        origin.append((col.tokens, kept))
+    if any(len(col) for col in columns) and not any(tokens):
         raise DataError(f"no token of any field appears {min_freq} times (min_freq): "
                         "every field would keep only its OOV row")
-    return Vocabulary(maps=maps)
+    vocab = Vocabulary(tokens=tokens)
+    vocab.origin = origin
+    return vocab
 
 
 def encode(schema, labels, columns, vocab):
-    """Dataset of Columns: each distinct token's index, taken by each row's code."""
+    """Dataset of Columns: each distinct token's index, taken by each row's
+    code. A Column the vocabulary was built from is indexed by the
+    positions build_vocab kept; any other is looked up token by token."""
     indices = np.zeros((len(labels), len(schema)), dtype=np.int32)
-    for i, (col, index) in enumerate(zip(columns, vocab.maps)):
-        known = np.fromiter(map(index.get, col.tokens, repeat(0)), np.int32, len(col.tokens))
+    origin = vocab.origin or repeat((None, None))
+    for i, (col, kept_tokens, (source, kept)) in enumerate(zip(columns, vocab.tokens, origin)):
+        if col.tokens is source:
+            known = np.zeros(len(source), np.int32)
+            known[kept] = np.arange(1, kept.size + 1)
+        else:
+            index = _index_of(kept_tokens)
+            known = np.fromiter(map(index.get, col.tokens, repeat(0)), np.int32, len(col.tokens))
         indices[:, i] = known[col.codes]
     return Dataset(
         schema=schema,

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import re
 import struct
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from delta_ctr import data as data_mod
-from delta_ctr import metrics, model
+from delta_ctr import cli, metrics, model
 from delta_ctr.data import DataError
 
 
@@ -34,17 +35,21 @@ TOY_ROWS = [
 ]
 
 
-def rowwise_prep(path, min_freq=1):
-    """Per-row oracle: parse the rows with csv, count every token with one
-    dict update, order by count descending then token, and encode one cell
-    at a time. Returns (labels, vocabulary maps, index matrix)."""
+def rowwise_rows(path):
+    """The file's field count, and each row's label and field tokens, parsed by csv."""
     text = path.read_text()
     delim = "\t" if "\t" in text.split("\n", 1)[0] else ","
     header, *rows = [r for r in csv.reader(io.StringIO(text), delimiter=delim) if r]
     li = header.index("label")
     labels = [int(r[li]) for r in rows]
-    rows = [[tok for i, tok in enumerate(r) if i != li] for r in rows]
-    n_fields = len(header) - 1
+    return len(header) - 1, labels, [[tok for i, tok in enumerate(r) if i != li] for r in rows]
+
+
+def rowwise_prep(path, min_freq=1):
+    """Per-row oracle: parse the rows with csv, count every token with one
+    dict update, order by count descending then token, and encode one cell
+    at a time. Returns (labels, vocabulary maps, index matrix)."""
+    n_fields, labels, rows = rowwise_rows(path)
     counts = [dict() for _ in range(n_fields)]
     for row in rows:
         for i, tok in enumerate(row):
@@ -324,6 +329,99 @@ def test_random_file_prep_equals_rowwise_oracle(tmp_path, min_freq, text):
     assert np.array_equal(data_mod.encode(schema, labels, columns, vocab).indices, want)
 
 
+@pytest.mark.parametrize("case", sorted(PREP_CASES))
+@pytest.mark.parametrize("min_freq", [1, 2])
+def test_prep_sidecar_holds_each_fields_tokens_in_index_order(tmp_path, case, min_freq):
+    p = tmp_path / "raw.txt"
+    p.write_text(PREP_CASES[case])
+    out = tmp_path / "cache.bin"
+    assert cli.main(["prep", "--input", str(p), "--output", str(out), "--min-freq", str(min_freq)]) == 0
+    sidecar = json.loads((tmp_path / "cache.bin.vocab.json").read_text())
+    _, want_maps, _ = rowwise_prep(p, min_freq)
+    assert sidecar == {"tokens": [list(m) for m in want_maps]}
+    assert sidecar["tokens"] == data_mod.build_vocab(data_mod.read_raw(p)[2], min_freq).tokens
+    d, _ = data_mod.load_cache(out)
+    _, _, rows = rowwise_rows(p)
+    assert len(d) == len(rows)
+    for r, row in enumerate(rows):  # a cell's index names its token in the list, and 0 one not in it
+        for i, (tok, kept) in enumerate(zip(row, sidecar["tokens"])):
+            assert d.indices[r, i] == (kept.index(tok) + 1 if tok in kept else 0)
+
+
+def test_encode_with_a_vocabulary_of_other_columns(tmp_path):
+    """Tokens a second file shares with the first take the first file's
+    indices; tokens the first never kept fold to 0."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_toy(a, TOY_ROWS)
+    write_toy(b, [(1, "red", "zeta"), (0, "blue", "acme"), (1, "mauve", "bolt"), (0, "green", "acme")])
+    _, want_maps, _ = rowwise_prep(a, min_freq=3)  # not green, which a holds twice
+    vocab = data_mod.build_vocab(data_mod.read_raw(a)[2], min_freq=3)
+    schema, labels, columns = data_mod.read_raw(b)
+    d = data_mod.encode(schema, labels, columns, vocab)
+    _, _, rows = rowwise_rows(b)
+    assert d.indices.tolist() == [[m.get(tok, 0) for m, tok in zip(want_maps, row)] for row in rows]
+    assert d.indices.tolist() == [[1, 0], [2, 1], [0, 2], [0, 1]]
+    assert d.vocab_sizes == vocab.sizes == [3, 3]
+
+
+@pytest.mark.parametrize("case", sorted(PREP_CASES))
+@pytest.mark.parametrize("min_freq", [1, 2])
+def test_encode_by_token_equals_encode_by_kept_position(tmp_path, case, min_freq):
+    """Equal Columns that are not the ones the vocabulary was built from, and
+    a Vocabulary built from its token lists alone, encode alike."""
+    p = tmp_path / "raw.txt"
+    p.write_text(PREP_CASES[case])
+    schema, labels, columns = data_mod.read_raw(p)
+    vocab = data_mod.build_vocab(columns, min_freq)
+    want = data_mod.encode(schema, labels, columns, vocab).indices
+    assert np.array_equal(data_mod.encode(schema, labels, data_mod.read_raw(p)[2], vocab).indices, want)
+    by_token = data_mod.Vocabulary(tokens=vocab.tokens)
+    assert by_token == vocab and by_token.maps == vocab.maps
+    assert np.array_equal(data_mod.encode(schema, labels, columns, by_token).indices, want)
+
+
+def _no_call(name):
+    def fail(*args):
+        raise AssertionError(f"{name} was called")
+    return fail
+
+
+@pytest.mark.parametrize("text", [
+    *(PREP_CASES[c].replace("\r\n", "\n").replace("\n", "\r\n") for c in sorted(PREP_CASES)
+      if '"' not in PREP_CASES[c]),
+    "label,a,b\r\n1,x,p\n0,y,p\r\n\n1,x,q\r\n",  # LF and CRLF mixed
+])
+def test_crlf_file_is_split_at_its_bytes(tmp_path, monkeypatch, text):
+    """With every CR right before an LF, the byte split reads the file and
+    drops each line's CR from its last token."""
+    p = tmp_path / "raw.txt"
+    p.write_bytes(text.encode())
+    monkeypatch.setattr(data_mod, "_read_csv", _no_call("_read_csv"))
+    want_labels, want_maps, want = rowwise_prep(p)
+    schema, labels, columns = data_mod.read_raw(p)
+    assert labels == want_labels
+    vocab = data_mod.build_vocab(columns)
+    assert vocab.maps == want_maps
+    assert np.array_equal(data_mod.encode(schema, labels, columns, vocab).indices, want)
+
+
+@pytest.mark.parametrize("text", [
+    "label,a,b\r1,x,p\r0,y,p\r\r1,x,q\r",  # CR line ends
+    "label,a,b\r\n1,x,p\r0,y,p\n1,x,q\r\n",  # CR, LF and CRLF
+    "label,a,b\r\n1,x,p\r\r\n0,y,p\r\n",  # a CR before a CRLF
+])
+def test_lone_cr_file_is_read_by_csv(tmp_path, monkeypatch, text):
+    p = tmp_path / "raw.txt"
+    p.write_bytes(text.encode())
+    monkeypatch.setattr(data_mod, "_split_bytes", _no_call("_split_bytes"))
+    want_labels, want_maps, want = rowwise_prep(p)
+    schema, labels, columns = data_mod.read_raw(p)
+    assert labels == want_labels
+    vocab = data_mod.build_vocab(columns)
+    assert vocab.maps == want_maps
+    assert np.array_equal(data_mod.encode(schema, labels, columns, vocab).indices, want)
+
+
 @pytest.mark.parametrize("delim", [",", "\t"])
 @pytest.mark.parametrize("line, says", [
     ("0{d}x", "expected 3 columns, got 2"),
@@ -456,3 +554,15 @@ class TestCache:
         cut.write_bytes(raw + b"\x00")
         with pytest.raises(DataError):
             data_mod.load_cache(cut)
+
+    def test_every_strict_prefix_raises_data_error(self, tmp_path):
+        d = data_mod.generate_synthetic(3, 2, 7, 12, seed=5)
+        p = tmp_path / "cache.bin"
+        data_mod.save_cache(p, d, np.arange(12, dtype=np.uint8) % 3)
+        raw = p.read_bytes()
+        assert len(raw) == 196
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(DataError):
+                data_mod.load_cache(cut)
