@@ -134,8 +134,9 @@ def cmd_train(args):
     prefix = cfg["out_prefix"]
     history.write(prefix + ".history.tsv")
     model_mod.save_checkpoint(prefix + ".ckpt", params, extra={"k": best_k, "seed": cfg["seed"]})
-    val = trainer_mod.evaluate(params, val_ds, best_k)
-    print(f"val AUC: {val.auc:.6f}  val logloss: {val.logloss:.6f}")
+    # the best epoch's record holds the returned parameters' validation scores
+    best = min(history.records, key=lambda r: r.val_logloss)
+    print(f"val AUC: {best.val_auc:.6f}  val logloss: {best.val_logloss:.6f}")
     if len(test_ds):
         test = trainer_mod.evaluate(params, test_ds, best_k)
         print(f"test AUC: {test.auc:.6f}  test logloss: {test.logloss:.6f}")

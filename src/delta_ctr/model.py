@@ -4,7 +4,6 @@ explicit-crossing branch and the training losses."""
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
@@ -247,16 +246,15 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     indices: (B, n_fields) int array. In train mode dropout is active and
     the auxiliary branch is evaluated (unless lambda is 0, in which case the
     branch is skipped entirely and contributes nothing to the graph). In
-    infer mode the auxiliary branch and dropout are never evaluated, and no
-    graph is built.
+    infer mode the auxiliary branch and dropout are never evaluated, no
+    graph is built and no random number is drawn; rng is not read.
     """
-    training = mode == "train"
-    if training and rng is None:
-        raise ParameterError("train mode requires an rng")
-    if training:
+    if mode == "train":
+        if rng is None:
+            raise ParameterError("train mode requires an rng")
         return _forward(indices, params, k, True, rng)[0]
     with nm.no_grad():
-        return _forward(indices, params, k, False, Rng(0) if rng is None else rng)[0]
+        return _forward(indices, params, k, False, None)[0]
 
 
 def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
@@ -273,7 +271,7 @@ def _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng, training):
 
 def _forward(indices, params, k, training, rng, labels=None):
     """(ForwardOutput, aux term): given labels in training, the aux term is
-    the aux branch's share of the loss (_aux_term), else None."""
+    the aux branch's share of the loss, lambda * bce(y_eeo), else None."""
     cfg = params.config
     spec = VARIANTS[cfg.variant]
     b = indices.shape[0]
@@ -284,7 +282,8 @@ def _forward(indices, params, k, training, rng, labels=None):
 
     def path(i, head, gate, tower):
         with nm.on_path(i):
-            return _tower_path(emb, e_flat, head, gate, tower, k, cfg, rng.split(f"tower{i}"), training)
+            path_rng = rng.split(f"tower{i}") if training else None
+            return _tower_path(emb, e_flat, head, gate, tower, k, cfg, path_rng, training)
 
     def aux_head():
         # (y_eeo, aux term): the training-only head, which reads only emb
@@ -293,7 +292,7 @@ def _forward(indices, params, k, training, rng, labels=None):
             y = nm.sigmoid(eeo_mod.eeo_fm_forward(emb, params.fm_bias))
         else:
             y = nm.sigmoid(eeo_mod.eeo_forward(e_flat, params.eeo))
-        return y, None if labels is None else _aux_term(bce_loss(y, labels), cfg.lam)
+        return y, None if labels is None else nm.scale(bce_loss(y, labels), cfg.lam)
 
     def second():
         t2 = path(2, params.head2, params.gate2, params.tower2)
@@ -328,26 +327,9 @@ def bce_loss(y_hat, labels):
     return nm.bce(y_hat, labels)
 
 
-def _aux_term(l_eeo, lam):
-    """lam * l_eeo, the aux branch's share of the loss, or None where it
-    has none (no aux loss, or lambda 0)."""
-    if lam < 0:
-        raise ParameterError("lambda must be >= 0")
-    if l_eeo is None or lam == 0:
-        return None
-    return nm.scale(l_eeo, lam)
-
-
-def total_loss(l_main, l_eeo, lam):
-    """l_main + lam * l_eeo, from the two branch losses: the sum train_loss
-    builds, there with the aux term on path 2."""
-    aux = _aux_term(l_eeo, lam)
-    return l_main if aux is None else nm.add(l_main, aux)
-
-
 def train_loss(indices, labels, params, k, rng):
-    """One batch's training loss as a graph. The aux head builds its loss
-    term inside path 2, so that backward runs it on the worker too."""
+    """One batch's training loss as a graph, bce(y_main) + lambda * bce(y_eeo);
+    the aux term is built inside path 2, so backward runs it on the worker too."""
     out, aux = _forward(indices, params, k, True, rng, labels)
     l_main = bce_loss(out.y_main, labels)
     return l_main if aux is None else nm.add(l_main, aux)
@@ -377,19 +359,17 @@ def save_checkpoint(path, params, extra=None):
     header = json.dumps(
         {"config": params.config.to_dict(), "extra": extra or {}, "n_tensors": len(named)}
     ).encode()
-    buf = io.BytesIO()
-    buf.write(CKPT_MAGIC)
-    buf.write(struct.pack("<HI", CKPT_VERSION, len(header)))
-    buf.write(header)
-    for name, p in named:
-        nb = name.encode()
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", p.value.ndim))
-        buf.write(struct.pack(f"<{p.value.ndim}Q", *p.value.shape))
-        buf.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack("<HI", CKPT_VERSION, len(header)))
+        f.write(header)
+        for name, p in named:
+            nb = name.encode()
+            f.write(struct.pack("<H", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<B", p.value.ndim))
+            f.write(struct.pack(f"<{p.value.ndim}Q", *p.value.shape))
+            f.write(np.ascontiguousarray(p.value, dtype="<f8"))  # the array's own bytes, uncopied
 
 
 def load_checkpoint(path, vocab_sizes):

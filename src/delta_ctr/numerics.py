@@ -383,7 +383,9 @@ def _unbroadcast(g, shape):
 
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    if a.value.shape[-1] != b.value.shape[-2 if b.value.ndim > 1 else 0]:
+    if a.value.ndim < 2 or b.value.ndim < 2:
+        raise DimensionError(f"matmul: operands must be at least 2-D, got {a.shape} x {b.shape}")
+    if a.value.shape[-1] != b.value.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
     out_val = np.matmul(a.value, b.value)
 

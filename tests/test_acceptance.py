@@ -202,6 +202,7 @@ def informative_share(params, dset, k, n_informative=2):
     return float(num / den)
 
 
+@pytest.mark.slow
 def test_criterion_06_planted_feature_recovery(synth50k):
     tr, va, te = synth50k
     ceiling = metrics.auc(va.bayes_scores, va.labels)
@@ -216,6 +217,7 @@ def test_criterion_06_planted_feature_recovery(synth50k):
            f"informative share of truncated mass {share:.3f} (>0.4, uniform 0.2), k={best_k}")
 
 
+@pytest.mark.slow
 def test_criterion_07_ablation_direction(synth50k):
     tr, va, te = synth50k
     st = trainer_mod.TrainSettings(batch_size=512, lr=3e-3, t_max=15, c_min=2)
@@ -288,6 +290,7 @@ def test_criterion_09_complexity_linear_in_k():
            f"multiply-adds at k={ks}: {counts}, linear fit R^2 {r2:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_bottleneck_sweep():
     ds = data_mod.generate_synthetic(10, 2, 20, 20000, seed=3)
     tr, va, te = data_mod.split_dataset(ds, seed=1)

@@ -137,6 +137,22 @@ class TestTrain:
         hist = (tmp_path / "run.history.tsv").read_text().strip().split("\n")
         assert len(hist) == 3  # header + 2 epochs
 
+    @pytest.mark.parametrize("t_max", [2, 6])
+    def test_validation_line_is_the_best_history_row(self, config_file, tmp_path, capsys, t_max):
+        raw = json.loads(config_file.read_text())
+        raw["trainer"]["t_max"] = t_max
+        config_file.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(config_file)]) == 0
+        line = capsys.readouterr().out.split("\n")[0]
+        rows = [r.split("\t") for r in (tmp_path / "run.history.tsv").read_text().strip().split("\n")[1:]]
+        best = min(rows, key=lambda r: float(r[2]))
+        assert line == f"val AUC: {best[3]}  val logloss: {best[2]}"
+        # the same line as scoring the saved model on the validation split
+        d, splits = data_mod.load_cache(raw["data"]["cache"])
+        params, extra = model_mod.load_checkpoint(tmp_path / "run.ckpt", d.vocab_sizes)
+        val = trainer_mod.evaluate(params, d.subset(splits == 1), extra["k"])
+        assert line == f"val AUC: {val.auc:.6f}  val logloss: {val.logloss:.6f}"
+
     def test_deterministic_given_seed(self, config_file, capsys):
         cli.main(["train", "--config", str(config_file), "--seed", "3"])
         a = capsys.readouterr().out

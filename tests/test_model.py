@@ -229,8 +229,10 @@ class TestVariantTable:
         idx, labels = make_batch(b=16)
         params.zero_grads()
         out = model_mod.delta_forward(idx, params, 2, mode="train", rng=Rng(5))
-        l_eeo = None if out.y_eeo is None else model_mod.bce_loss(out.y_eeo, labels)
-        model_mod.total_loss(model_mod.bce_loss(out.y_main, labels), l_eeo, 0.5).backward()
+        loss = model_mod.bce_loss(out.y_main, labels)
+        if out.y_eeo is not None:
+            loss = nm.add(loss, nm.scale(model_mod.bce_loss(out.y_eeo, labels), 0.5))
+        loss.backward()
         missing = [n for n, p in params.named_params() if p.grad is None or not np.any(p.grad != 0)]
         assert not missing
 
@@ -281,22 +283,26 @@ class TestBceLoss:
             model_mod.bce_loss(Tensor(np.zeros(0)), np.zeros(0))
 
 
-class TestTotalLoss:
-    def test_lambda_zero(self):
-        l_main = Tensor(np.array(0.6))
-        assert model_mod.total_loss(l_main, Tensor(np.array(0.8)), 0.0) is l_main
+class TestTrainLoss:
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("variant", [v for v in VARIANT_NAMES if model_mod.VARIANTS[v].aux])
+    def test_bit_equal_to_the_branch_losses_composed_outside(self, variant, lam):
+        """bce(y_main) + lam * bce(y_eeo) from a train-mode forward with the
+        same rng, and bce(y_main) alone at lam 0, where no aux head is built."""
+        params = ModelParams.init(tiny_config(variant=variant, lam=lam, dropout_rate=0.3), VOCABS, seed=21)
+        idx, labels = make_batch(seed=4)
+        out = model_mod.delta_forward(idx, params, 2, mode="train", rng=Rng(6))
+        want = model_mod.bce_loss(out.y_main, labels)
+        if lam == 0:
+            assert out.y_eeo is None
+        else:
+            want = nm.add(want, nm.scale(model_mod.bce_loss(out.y_eeo, labels), lam))
+        got = model_mod.train_loss(idx, labels, params, 2, Rng(6))
+        assert got.value.tobytes() == want.value.tobytes()
 
-    def test_weighted_sum(self):
-        out = model_mod.total_loss(Tensor(np.array(0.6)), Tensor(np.array(0.8)), 0.5)
-        np.testing.assert_allclose(float(out.value), 1.0)
-
-    def test_lambda_one_plain_sum(self):
-        out = model_mod.total_loss(Tensor(np.array(0.2)), Tensor(np.array(0.3)), 1.0)
-        np.testing.assert_allclose(float(out.value), 0.5)
-
-    def test_negative_lambda(self):
-        with pytest.raises(ParameterError):
-            model_mod.total_loss(Tensor(np.array(0.1)), Tensor(np.array(0.1)), -1.0)
+    def test_negative_lambda_rejected_by_the_config(self):
+        with pytest.raises(ParameterError, match="lambda must be a number >= 0"):
+            tiny_config(lam=-1.0).validate()
 
 
 class TestBranchSeparation:
@@ -371,7 +377,7 @@ class TestBackwardConsumesGraph:
         params = ModelParams.init(tiny_config(variant=variant, dropout_rate=0.3), VOCABS, seed=2)
         idx, labels = make_batch()
         model_mod.backward_and_accumulate(idx, labels, params, 2, Rng(0))
-        *inner, root = made  # total_loss builds the root last
+        *inner, root = made  # train_loss builds the root last
         assert inner and all(t.grad is None for t in inner) and root.grad == 1.0
         assert all(t._parents == () and t._backward is nm._consumed for t in made)
         assert all(p.grad is not None for _, p in params.named_params())
@@ -383,7 +389,8 @@ class TestBackwardConsumesGraph:
         return model_mod.bce_loss(out.y_main, labels), model_mod.bce_loss(out.y_eeo, labels)
 
     def test_second_backward_raises(self):
-        loss = model_mod.total_loss(*self.train_losses(), 0.5)
+        l_main, l_eeo = self.train_losses()
+        loss = nm.add(l_main, nm.scale(l_eeo, 0.5))
         loss.backward()
         with pytest.raises(GraphError, match="graph already consumed by backward"):
             loss.backward()

@@ -51,6 +51,15 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(2, 3\)"):
             nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_1d_right_operand_rejected(self):
+        # numpy's forward takes it, and the backward then fails on its axes
+        with pytest.raises(DimensionError, match=r"at least 2-D, got \(3, 4\) x \(4,\)"):
+            nm.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+
+    def test_1d_left_operand_rejected(self):
+        with pytest.raises(DimensionError, match=r"at least 2-D, got \(4,\) x \(4, 2\)"):
+            nm.matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 2))))
+
     def test_backward_formula(self):
         a = Tensor(Rng(1).normal((3, 4)))
         b = Tensor(Rng(2).normal((4, 2)))

@@ -303,28 +303,48 @@ class TestFit:
         monkeypatch.setattr(ModelParams, "copy_values", lambda self: made.append(copy_values(self)) or made[-1])
         return made
 
-    def test_one_epoch_copies_the_parameters_once(self, monkeypatch):
-        # the initial values, which the epoch overwrites; the epoch's own
-        # values are the last and are returned as they stand
+    def test_one_epoch_never_copies_the_parameters(self, monkeypatch):
+        # the epoch's values are the last and are returned as they stand,
+        # and the initial values are never kept: epoch 0 replaces them
         tr, va, _ = small_data()
         made = self.copies(monkeypatch)
         st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=1)
         params, history, _ = trainer_mod.fit(small_config(), st, tr, va, seed=3)
-        assert len(made) == 1 and len(history.records) == 1
-        assert not any(p.value is made[0][n] for n, p in params.named_params())
+        assert made == [] and len(history.records) == 1
 
     @pytest.mark.parametrize("t_max", [1, 3])
-    def test_never_finite_validation_loss_returns_the_initial_parameters_uncopied(self, t_max, monkeypatch):
+    def test_never_finite_validation_loss_returns_the_last_parameters_uncopied(self, t_max, monkeypatch):
+        # no epoch counts as the best, so nothing is copied and the
+        # parameters stay as the last epoch left them, at bottleneck n
         tr, va, _ = small_data()
         made = self.copies(monkeypatch)
         monkeypatch.setattr(trainer_mod, "evaluate", lambda params, ds, k: trainer_mod.EvalResult(
             auc=0.5, logloss=math.nan, n_instances=len(ds)))
         st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=t_max)
         params, history, k = trainer_mod.fit(small_config(), st, tr, va, seed=3)
-        assert len(history.records) == t_max and k == 4 and len(made) == 1
+        assert len(history.records) == t_max and k == 4 and made == []
         initial = ModelParams.init(small_config(), tr.vocab_sizes, 3)
-        for (n, p), (_, q) in zip(params.named_params(), initial.named_params()):
-            assert p.value is made[0][n] and p.value.tobytes() == q.value.tobytes()
+        assert params.final_w.value.tobytes() != initial.final_w.value.tobytes()
+
+    @pytest.mark.parametrize("variant", list(model_mod.VARIANTS))
+    def test_nan_parameter_raises_before_any_update(self, variant, monkeypatch):
+        """A NaN final.b makes the loss and a gradient NaN; optimizer_step
+        rejects the first step, so every parameter stays as initialised."""
+        tr, va, _ = small_data()
+        made, init = [], ModelParams.init.__func__
+
+        def planted(cls, config, vocab_sizes, seed):
+            params = init(cls, config, vocab_sizes, seed)
+            params.final_b.value[:] = np.nan
+            made.append((params, {n: p.value.tobytes() for n, p in params.named_params()}))
+            return params
+
+        monkeypatch.setattr(ModelParams, "init", classmethod(planted))
+        st = trainer_mod.TrainSettings(batch_size=64, lr=1e-2, t_max=2)
+        with pytest.raises(trainer_mod.TrainingError, match="NaN/Inf gradient"):
+            trainer_mod.fit(small_config(variant=variant), st, tr, va, seed=3)
+        [(params, initial)] = made
+        assert {n: p.value.tobytes() for n, p in params.named_params()} == initial
 
     def test_history_file_format(self, tmp_path):
         tr, va, _ = small_data()
