@@ -71,8 +71,11 @@ def _merge_strict(defaults, given, path=""):
 
 
 def load_config(path, seed_override=None):
-    with open(path) as f:
-        raw = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw = json.load(f)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {path} is not UTF-8: {e}") from None
     cfg = _merge_strict(CONFIG_DEFAULTS, raw)
     if seed_override is not None:
         cfg["seed"] = seed_override

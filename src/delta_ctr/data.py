@@ -104,10 +104,6 @@ def bucketize_numeric(v):
     return str(int(math.floor(math.log(v) ** 2)))
 
 
-def _detect_delimiter(header_line):
-    return "\t" if "\t" in header_line else ","
-
-
 @dataclass(eq=False)
 class Column:
     """One field factorized: its distinct tokens in code-point order, how
@@ -163,12 +159,6 @@ def _factorize(buf, starts, lengths):
     return Column(tokens if len(distinct) else [], counts, codes)
 
 
-def _line_at(raw, pos):
-    """1-based line of byte pos, lines ending at LF, CR or CRLF as csv reads them."""
-    head = raw[:pos]
-    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-
-
 def _check_bytes(path, raw):
     """DataError at the line of a NUL byte, or else of the first byte
     that is not UTF-8."""
@@ -179,15 +169,20 @@ def _check_bytes(path, raw):
         except UnicodeDecodeError as e:
             at, what = e.start, f"not UTF-8 (byte 0x{raw[e.start]:02x} at offset {e.start}: {e.reason})"
     if at >= 0:
-        raise DataError(f"{path}:{_line_at(raw, at)}: {what}")
+        head = raw[:at]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1  # LF, CR or CRLF, as csv
+        raise DataError(f"{path}:{line}: {what}")
 
 
 def _header(path, first):
     """(delimiter, header, label column) of the file's first line."""
     if not first:
         raise DataError(f"{path}: empty file")
-    delim = _detect_delimiter(first)
-    header = next(csv.reader([first], delimiter=delim))
+    delim = "\t" if "\t" in first else ","
+    try:
+        header = next(csv.reader([first], delimiter=delim, strict=True))
+    except csv.Error as e:
+        raise DataError(f"{path}:1: {e}") from None
     if "label" not in header:
         raise DataError(f"{path}: no 'label' column in header {header}")
     return delim, header, header.index("label")
@@ -203,11 +198,10 @@ def _label(tok):
 
 
 def _split_bytes(path, raw):
-    """(header, label column, labels, columns) of a file with no quote, in
-    which every CR is right before an LF, split at delimiter and LF bytes
-    with each line's CR dropped; None if a line other than a blank one has
-    another column count than the header, or a label is not 0 or 1, for
-    csv to report."""
+    """Tokenizer of a file with no quote, split at delimiter and LF bytes
+    once CRLF, then any other CR, is rewritten to LF: csv's line ends."""
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     body = raw.find(b"\n") + 1 or len(raw)
     delim, header, label_col = _header(path, raw[:body].decode())
     buf = np.frombuffer(raw, np.uint8)
@@ -223,43 +217,49 @@ def _split_bytes(path, raw):
     last = np.flatnonzero(is_end)  # each line's last token, as an index into cuts
     first = np.append(0, last + 1)[:-1]  # and its first
     start = np.append(body, cuts[last] + 1)[:-1]  # each line's first byte
-    if b"\r" in raw:
-        cuts[last] -= buf[cuts[last] - 1] == 13  # a line's last token ends before its CR
-    blank = (first == last) & (cuts[last] == start)
-    if not np.all(blank | (last - first + 1 == len(header))):
-        return None
-    first, start = first[~blank], start[~blank]
-    columns = []
-    for j in range(len(header)):
+    kept = np.flatnonzero((first != last) | (cuts[last] != start))  # the lines that are not blank
+    first, last, start = first[kept], last[kept], start[kept]
+
+    def column(j):
         starts = start if j == 0 else cuts[first + j - 1] + 1
-        columns.append(_factorize(buf, starts, cuts[first + j] - starts))
-    label_column = columns.pop(label_col)
-    values = [_label(tok) for tok in label_column.tokens]
-    if None in values:
-        return None
-    labels = np.array(values, np.uint8)[label_column.codes].tolist()
-    return header, label_col, labels, columns
+        return _factorize(buf, starts, cuts[first + j] - starts)
+
+    return header, label_col, kept + 2, last - first + 1, column
 
 
-def _read_csv(path, text):
-    """(header, label column, labels, columns) of a file read by csv, row
-    by row; a DataError names the line of a bad column count or label."""
-    f = io.StringIO(text, newline="")
+def _read_csv(path, raw):
+    """Tokenizer of a file read by csv, strictly, row by row; a DataError
+    names the line where a row csv cannot read starts."""
+    f = io.StringIO(raw.decode(), newline="")
     delim, header, label_col = _header(path, f.readline())
-    labels, rows = [], []
-    for lineno, row in enumerate(csv.reader(f, delimiter=delim), start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-        y = _label(row[label_col])
-        if y is None:
-            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {row[label_col]!r}")
-        labels.append(y)
-        rows.append(row)
-    columns = list(zip(*rows)) or [()] * len(header)
-    del columns[label_col]
-    return header, label_col, labels, [Column.of(col) for col in columns]
+    reader = csv.reader(f, delimiter=delim, strict=True)
+    lines, rows, lineno = [], [], 2
+    try:
+        for row in reader:
+            if row:
+                lines.append(lineno)
+                rows.append(row)
+            lineno = reader.line_num + 2  # where the next row starts
+    except csv.Error as e:
+        raise DataError(f"{path}:{lineno}: {e}") from None
+    return header, label_col, lines, list(map(len, rows)), lambda j: Column.of([row[j] for row in rows])
+
+
+def _rows(path, header, label_col, lines, widths, column):
+    """The label list of what a tokenizer returns: the header, its label
+    column, the line where each row that is not blank starts, its cell count,
+    and column(j), field j's Column, once every row has the header's cell
+    count. DataError at the first row whose cell count is not the header's,
+    or else at the first label not 0 or 1."""
+    bad = np.flatnonzero(np.not_equal(widths, len(header)))
+    if bad.size:
+        raise DataError(f"{path}:{lines[bad[0]]}: expected {len(header)} columns, got {widths[bad[0]]}")
+    col = column(label_col)
+    values = [_label(tok) for tok in col.tokens]
+    if None in values:
+        r = np.flatnonzero(np.equal(values, None)[col.codes])[0]
+        raise DataError(f"{path}:{lines[r]}: label must be 0 or 1, got {col.tokens[col.codes[r]]!r}")
+    return np.array(values, np.uint8)[col.codes].tolist()
 
 
 def read_raw(path):
@@ -267,19 +267,16 @@ def read_raw(path):
 
     The header must contain a `label` column; every other column is a
     field, returned as one Column of its tokens in file order. A file with
-    no quote, in which every CR ends a CRLF, is split at its bytes; any
-    other, and one that fails that split's checks, is read by csv.
+    a `"` is read by csv, strictly; any other is split at its bytes.
     """
     with open(path, "rb") as f:
         raw = f.read()
     _check_bytes(path, raw)
-    # csv ends a line at a CR not right before an LF; the search spares a
-    # file with no CR the two counts, which take about 100 times as long
-    lone_cr = b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n")
-    parsed = None if b'"' in raw or lone_cr else _split_bytes(path, raw)
-    header, label_col, labels, columns = parsed or _read_csv(path, raw.decode())
+    tokenize = _read_csv if b'"' in raw else _split_bytes
+    header, label_col, lines, widths, column = tokenize(path, raw)
+    labels = _rows(path, header, label_col, lines, widths, column)
     schema = [FieldSchema(name) for i, name in enumerate(header) if i != label_col]
-    return schema, labels, columns
+    return schema, labels, [column(j) for j in range(len(header)) if j != label_col]
 
 
 def build_vocab(columns, min_freq=1):

@@ -109,6 +109,33 @@ class TestPrep:
         assert capsys.readouterr().err == f"error: {bad}:3: {says}\n"
         assert not (tmp_path / "o.bin").exists()
 
+    @pytest.mark.parametrize("body, says", [
+        ('0,"abc\n0,x\n', ":4: unexpected end of data"),
+        ('0,"x"y\n', ":4: ',' expected after '\"'"),
+        ('0,"' + "x" * 200_000 + '"\n', ":4: field larger than field limit (131072)"),
+    ], ids=["unclosed_quote", "text_after_quote", "long_quoted_cell"])
+    def test_csv_error_exit_1(self, tmp_path, capsys, body, says):
+        """A file with a quote is read by csv, strictly; each csv error names
+        the line where its row starts."""
+        bad = tmp_path / "bad.csv"
+        bad.write_text('label,a\n1,"x\ny"\n' + body)
+        rc = cli.main(["prep", "--input", str(bad), "--output", str(tmp_path / "o.bin")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}{says}\n"
+        assert not (tmp_path / "o.bin").exists()
+
+    def test_long_header_cell_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label," + "x" * 200_000 + "\n1,y\n")
+        assert cli.main(["prep", "--input", str(bad), "--output", str(tmp_path / "o.bin")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:1: field larger than field limit (131072)\n"
+
+    def test_long_unquoted_cell_preps(self, tmp_path, capsys):
+        raw = tmp_path / "long.csv"
+        raw.write_text("label,a\n" + "".join(f"{i % 2},{'x' * 200_000 if i == 3 else i % 3}\n" for i in range(10)))
+        assert cli.main(["prep", "--input", str(raw), "--output", str(tmp_path / "o.bin")]) == 0
+        assert "instances: 10" in capsys.readouterr().out
+
     def test_min_freq_folding_every_token_exit_1(self, toy_raw, tmp_path, capsys):
         cache = tmp_path / "o.bin"
         rc = cli.main(["prep", "--input", str(toy_raw), "--output", str(cache), "--min-freq", "1000"])
@@ -197,6 +224,13 @@ class TestTrain:
         assert cli.main(["train", "--config", str(missing)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
+
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"seed": 1, "x": "\xff"}')
+        assert cli.main(["train", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {p} is not UTF-8: ") and "0xff" in err
 
     @pytest.mark.parametrize(
         "raw, where", [({"model": 5}, "section 'model'"), ([1, 2], "file"), ({"data": [1]}, "section 'data'")]

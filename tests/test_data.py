@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from delta_ctr import data as data_mod
@@ -285,30 +285,53 @@ def test_columnar_prep_equals_rowwise_oracle(tmp_path, case, min_freq):
 
 
 @st.composite
-def raw_files(draw):
-    """A small delimited file and its delimiter: 1-3 fields around a label
-    column, cells quoted never, as needed or always, empty cells, LF or
-    CRLF line ends and blank lines anywhere after the header."""
+def raw_files(draw, bad=False):
+    """A small delimited file: 1-3 fields around a label column, comma or
+    tab, cells quoted never, as needed or always, empty cells, newlines in
+    quoted cells, LF, CRLF or CR line ends and blank lines anywhere after
+    the header. With bad, one row has a cell too few or too many or a
+    label not 0 or 1, and the draw is (file, that row's line, the error)."""
     delim = draw(st.sampled_from([",", "\t"]))
-    quoting = draw(st.sampled_from([None, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    alphabet = "ab \u00e9\u65e5\U0001f600" + ("" if quoting is None else ',\t"')
+    quoting = draw(st.sampled_from(["never", "as needed", "always"]))
+    alphabet = "ab \u00e9\u65e5\U0001f600" + ("" if quoting == "never" else ',\t"\n')
     n_fields = draw(st.integers(1, 3))
     label_col = draw(st.integers(0, n_fields))
     tokens = st.lists(st.text(st.sampled_from(alphabet), max_size=10),
                       min_size=n_fields, max_size=n_fields)
-    rows = draw(st.lists(st.tuples(st.sampled_from("01"), tokens), max_size=12))
+    rows = [[*toks[:label_col], label, *toks[label_col:]]
+            for label, toks in draw(st.lists(st.tuples(st.sampled_from("01"), tokens), max_size=12))]
+    if bad:
+        at = draw(st.integers(0, len(rows)))
+        row = [*draw(tokens), draw(st.sampled_from("01"))]
+        kind = draw(st.sampled_from(["short", "long", "label"]))
+        if kind == "label":
+            row[-1] = draw(st.sampled_from(["2", "0.5", "-1", "nan", "x", ""]))
+            says = f"label must be 0 or 1, got {row[-1]!r}"
+        else:
+            row = row[1:] if kind == "short" else [draw(tokens)[0], *row]
+            says = f"expected {n_fields + 1} columns, got {len(row)}"
+        toks, label = row[:-1], row[-1]
+        rows.insert(at, [*toks[:label_col], label, *toks[label_col:]])
     blank_after = draw(st.lists(st.booleans(), min_size=len(rows) + 1, max_size=len(rows) + 1))
-    end = draw(st.sampled_from(["\n", "\r\n"]))
-    out = io.StringIO()
-    writer = csv.writer(out, delimiter=delim, lineterminator=end,
-                        quoting=csv.QUOTE_MINIMAL if quoting is None else quoting)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+    def cell(tok):
+        if quoting == "always" or delim in tok or '"' in tok or "\n" in tok:
+            return '"' + tok.replace('"', '""') + '"'
+        return tok
+
     header = [f"f{i}" for i in range(n_fields)]
-    out.write(delim.join(header[:label_col] + ["label"] + header[label_col:]) + end)
-    for (label, toks), blank in zip(rows, blank_after):
-        out.write(end if blank else "")
-        writer.writerow(toks[:label_col] + [label] + toks[label_col:])
-    out.write(end if blank_after[-1] else "")
-    return out.getvalue()
+    out = [delim.join(header[:label_col] + ["label"] + header[label_col:]) + end]
+    line = 2  # where the next row starts
+    for r, (row, blank) in enumerate(zip(rows, blank_after)):
+        out.append(end if blank else "")
+        line += blank
+        if bad and r == at:
+            bad_line = line
+        out.append(delim.join(map(cell, row)) + end)
+        line += 1 + sum(tok.count("\n") for tok in row)
+    out.append(end if blank_after[-1] else "")
+    return ("".join(out), bad_line, says) if bad else "".join(out)
 
 
 @pytest.mark.parametrize("min_freq", [1, 2])
@@ -386,34 +409,23 @@ def _no_call(name):
     return fail
 
 
+QUOTE_FREE_CASES = [PREP_CASES[c].replace("\r\n", "\n") for c in sorted(PREP_CASES) if '"' not in PREP_CASES[c]]
+
+
 @pytest.mark.parametrize("text", [
-    *(PREP_CASES[c].replace("\r\n", "\n").replace("\n", "\r\n") for c in sorted(PREP_CASES)
-      if '"' not in PREP_CASES[c]),
+    *(t.replace("\n", "\r\n") for t in QUOTE_FREE_CASES),
+    *(t.replace("\n", "\r") for t in QUOTE_FREE_CASES),
     "label,a,b\r\n1,x,p\n0,y,p\r\n\n1,x,q\r\n",  # LF and CRLF mixed
-])
-def test_crlf_file_is_split_at_its_bytes(tmp_path, monkeypatch, text):
-    """With every CR right before an LF, the byte split reads the file and
-    drops each line's CR from its last token."""
-    p = tmp_path / "raw.txt"
-    p.write_bytes(text.encode())
-    monkeypatch.setattr(data_mod, "_read_csv", _no_call("_read_csv"))
-    want_labels, want_maps, want = rowwise_prep(p)
-    schema, labels, columns = data_mod.read_raw(p)
-    assert labels == want_labels
-    vocab = data_mod.build_vocab(columns)
-    assert vocab.maps == want_maps
-    assert np.array_equal(data_mod.encode(schema, labels, columns, vocab).indices, want)
-
-
-@pytest.mark.parametrize("text", [
     "label,a,b\r1,x,p\r0,y,p\r\r1,x,q\r",  # CR line ends
     "label,a,b\r\n1,x,p\r0,y,p\n1,x,q\r\n",  # CR, LF and CRLF
     "label,a,b\r\n1,x,p\r\r\n0,y,p\r\n",  # a CR before a CRLF
 ])
-def test_lone_cr_file_is_read_by_csv(tmp_path, monkeypatch, text):
+def test_quote_free_file_is_split_at_its_bytes_whatever_its_line_ends(tmp_path, monkeypatch, text):
+    """With CRLF, then any other CR, read as LF, the byte split reads the
+    file as csv does."""
     p = tmp_path / "raw.txt"
     p.write_bytes(text.encode())
-    monkeypatch.setattr(data_mod, "_split_bytes", _no_call("_split_bytes"))
+    monkeypatch.setattr(data_mod, "_read_csv", _no_call("_read_csv"))
     want_labels, want_maps, want = rowwise_prep(p)
     schema, labels, columns = data_mod.read_raw(p)
     assert labels == want_labels
@@ -429,13 +441,38 @@ def test_lone_cr_file_is_read_by_csv(tmp_path, monkeypatch, text):
     ("0.5{d}x{d}y", "label must be 0 or 1, got '0.5'"),
     ("{d}x{d}y", "label must be 0 or 1, got ''"),
 ])
-def test_quote_free_file_errors_as_csv_reads_them(tmp_path, delim, line, says):
+def test_quote_free_file_errors_as_csv_reads_them(tmp_path, monkeypatch, delim, line, says):
     """A bad line after a blank one in a file split at its bytes: csv's message and line."""
     p = tmp_path / "bad.txt"
     p.write_text("\n".join(["label{d}a{d}b", "1{d}x{d}y", "", line, "1{d}x{d}y"]).replace("{d}", delim) + "\n")
+    monkeypatch.setattr(data_mod, "_read_csv", _no_call("_read_csv"))
     with pytest.raises(DataError) as e:
         data_mod.read_raw(p)
     assert str(e.value) == f"{p}:4: {says}"
+
+
+@pytest.mark.parametrize("delim", [",", "\t"])
+def test_quote_free_file_names_a_bad_cell_count_before_an_earlier_bad_label(tmp_path, monkeypatch, delim):
+    p = tmp_path / "bad.txt"
+    p.write_text("label{d}a{d}b\n1{d}x{d}y\n0.5{d}x{d}y\n\n0{d}x\n".replace("{d}", delim))
+    monkeypatch.setattr(data_mod, "_read_csv", _no_call("_read_csv"))
+    with pytest.raises(DataError) as e:
+        data_mod.read_raw(p)
+    assert str(e.value) == f"{p}:5: expected 3 columns, got 2"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=raw_files(bad=True))
+@example(case=('label,a\n1,"x\ny"\n0,z\n0.5,w\n', 5, "label must be 0 or 1, got '0.5'"))
+def test_error_names_the_line_its_row_starts_on(tmp_path, case):
+    """One bad row, after blank lines and rows with quoted newlines, is
+    reported at the physical line where it starts, by either reader."""
+    text, line, says = case
+    p = tmp_path / "bad.txt"
+    p.write_bytes(text.encode())
+    with pytest.raises(DataError) as e:
+        data_mod.read_raw(p)
+    assert str(e.value) == f"{p}:{line}: {says}"
 
 
 @pytest.mark.parametrize("delim", [",", "\t"])
