@@ -174,18 +174,23 @@ def _check_bytes(path, raw):
         raise DataError(f"{path}:{line}: {what}")
 
 
-def _header(path, first):
-    """(delimiter, header, label column) of the file's first line."""
+def _header(path, f):
+    """(delimiter, reader, header, label column) of the text stream f: a tab
+    delimits if f's first line holds one, else a comma; the header, which
+    may span lines, is the first row of a strict csv reader of f."""
+    first = f.readline()
     if not first:
         raise DataError(f"{path}: empty file")
+    f.seek(0)
     delim = "\t" if "\t" in first else ","
+    reader = csv.reader(f, delimiter=delim, strict=True)
     try:
-        header = next(csv.reader([first], delimiter=delim, strict=True))
+        header = next(reader)
     except csv.Error as e:
         raise DataError(f"{path}:1: {e}") from None
     if "label" not in header:
         raise DataError(f"{path}: no 'label' column in header {header}")
-    return delim, header, header.index("label")
+    return delim, reader, header, header.index("label")
 
 
 def _label(tok):
@@ -203,7 +208,7 @@ def _split_bytes(path, raw):
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     body = raw.find(b"\n") + 1 or len(raw)
-    delim, header, label_col = _header(path, raw[:body].decode())
+    delim, _, header, label_col = _header(path, io.StringIO(raw[:body].decode(), newline=""))
     buf = np.frombuffer(raw, np.uint8)
     is_cut = buf == ord(delim)
     is_cut |= buf == 10
@@ -230,16 +235,14 @@ def _split_bytes(path, raw):
 def _read_csv(path, raw):
     """Tokenizer of a file read by csv, strictly, row by row; a DataError
     names the line where a row csv cannot read starts."""
-    f = io.StringIO(raw.decode(), newline="")
-    delim, header, label_col = _header(path, f.readline())
-    reader = csv.reader(f, delimiter=delim, strict=True)
-    lines, rows, lineno = [], [], 2
+    _, reader, header, label_col = _header(path, io.StringIO(raw.decode(), newline=""))
+    lines, rows, lineno = [], [], reader.line_num + 1
     try:
         for row in reader:
             if row:
                 lines.append(lineno)
                 rows.append(row)
-            lineno = reader.line_num + 2  # where the next row starts
+            lineno = reader.line_num + 1  # where the next row starts
     except csv.Error as e:
         raise DataError(f"{path}:{lineno}: {e}") from None
     return header, label_col, lines, list(map(len, rows)), lambda j: Column.of([row[j] for row in rows])

@@ -23,21 +23,19 @@ class EeoBranch:
     head_bias: Tensor | None  # (1,)
 
 
-def cross_layer(x0, x_l, p):
-    """DCN-style cross with residual: x0 * <w, x_l> + b + x_l.
-
-    x0, x_l: Tensor (B, m); the inner product is a scalar per row. One
-    node, ``numerics.cross``.
-    """
-    return nm.cross(x0, x_l, p.weight, p.bias)
+def cross_net(e_flat, layers):
+    """Stacked DCN-style cross layers (``numerics.cross``) from x0 = the
+    flattened original embeddings (B, m): x <- x0 * <w, x> + b + x."""
+    x = e_flat
+    for p in layers:
+        x = nm.cross(e_flat, x, p.weight, p.bias)
+    return x
 
 
 def eeo_forward(e_flat, branch):
-    """Stacked cross layers from x0 = flattened original embeddings, then a
-    scalar head. Returns the pre-sigmoid logit, shape (B,)."""
-    x = e_flat
-    for p in branch.layers:
-        x = cross_layer(e_flat, x, p)
+    """The cross-net, then a scalar head. Returns the pre-sigmoid logit,
+    shape (B,)."""
+    x = cross_net(e_flat, branch.layers)
     logit = nm.add(nm.matmul(x, branch.head_weight), branch.head_bias)
     return nm.reshape(logit, (e_flat.shape[0],))
 

@@ -43,6 +43,7 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     _check("add", lambda: nm.tsum(nm.mul(nm.add(a, a), rng_fixed_weights(a.shape))), [a], tol, results)
     _check("sub", lambda: nm.tsum(nm.mul(nm.sub(a, nm.mul(a, a)), rng_fixed_weights(a.shape))), [a], tol, results)
     _check("mul", lambda: nm.tsum(nm.mul(a, nm.mul(a, a))), [a], tol, results)
+    _check("scale", lambda: nm.tsum(nm.mul(nm.scale(a, -0.5), rng_fixed_weights(a.shape))), [a], tol, results)
     # keep relu inputs away from the kink at 0
     r = Tensor(np.where(np.abs(rng.normal((3, 4))) < 0.1, 0.5, rng.normal((3, 4))))
     _check("relu", lambda: nm.tsum(nm.mul(nm.relu(r), rng_fixed_weights(r.shape))), [r], tol, results)

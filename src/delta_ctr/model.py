@@ -249,6 +249,8 @@ def delta_forward(indices, params, k, mode="infer", rng=None):
     infer mode the auxiliary branch and dropout are never evaluated, no
     graph is built and no random number is drawn; rng is not read.
     """
+    if mode not in ("train", "infer"):
+        raise ParameterError(f"unknown mode {mode!r}; choose 'train' or 'infer'")
     if mode == "train":
         if rng is None:
             raise ParameterError("train mode requires an rng")
@@ -311,10 +313,7 @@ def _forward(indices, params, k, training, rng, labels=None):
     )
     pieces = [t1, t2]
     if spec.concat_cross:
-        x = e_flat
-        for p in params.eeo.layers:
-            x = eeo_mod.cross_layer(e_flat, x, p)
-        pieces.append(x)
+        pieces.append(eeo_mod.cross_net(e_flat, params.eeo.layers))
     joint = nm.concat(pieces, axis=-1)
     logit = nm.reshape(nm.add(nm.matmul(joint, params.final_w), params.final_b), (b,))
     y_main = nm.sigmoid(logit)

@@ -387,17 +387,16 @@ def matmul(a, b):
         raise DimensionError(f"matmul: operands must be at least 2-D, got {a.shape} x {b.shape}")
     if a.value.shape[-1] != b.value.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    out_val = np.matmul(a.value, b.value)
+    return Tensor(np.matmul(a.value, b.value), (a, b), lambda g: _product_back(a, b, g))
 
-    def backward(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
-            _accum(a, _unbroadcast(ga, a.value.shape), fresh=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.value, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.value.shape), fresh=True)
 
-    return Tensor(out_val, (a, b), backward)
+def _product_back(a, b, g):
+    """Route the gradient g of a @ b to a, then to b, each a new array
+    summed over the axes the product broadcast."""
+    if a.requires_grad:
+        _accum(a, _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape), fresh=True)
+    if b.requires_grad:
+        _accum(b, _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape), fresh=True)
 
 
 def add(a, b):
@@ -672,10 +671,7 @@ def dense(x, w, b, rate=0.0, rng=None):
         else:
             g = np.multiply(g, out_val > 0, out=own)
         _accum(b, _unbroadcast(g, b.value.shape))
-        if x.requires_grad:
-            _accum(x, _unbroadcast(np.matmul(g, np.swapaxes(w.value, -1, -2)), x.value.shape), fresh=True)
-        if w.requires_grad:
-            _accum(w, _unbroadcast(np.matmul(np.swapaxes(x.value, -1, -2), g), w.value.shape), fresh=True)
+        _product_back(x, w, g)
 
     return Tensor(out_val, (x, w, b), backward)
 
@@ -779,14 +775,6 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
     # the composed graph (attention_weights, topk_truncate, matmul), so the
     # gradients equal its bit for bit; a 2D GEMM for the weight gradients,
     # or another order, moves the low bits.
-    def project_back(g, weight):
-        # the gradient of one projection emb @ weight, given its output's
-        # gradient g (B, n, d), C-contiguous as it was there
-        if emb.requires_grad:
-            _accum(emb, np.matmul(g, np.swapaxes(weight.value, -1, -2)), fresh=True)
-        if weight.requires_grad:
-            _accum(weight, _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), weight.value.shape), fresh=True)
-
     def backward_slice(s, nan, g, g_q, g_k, g_v):
         # one slice's projection gradients, each temporary freed on return
         xs, ws, gs = x[s], w[s], g[s]
@@ -807,11 +795,11 @@ def ctm_head(emb, w_q, w_k, w_v, k, scope="row"):
         g_q, g_k, g_v = np.empty((b, n, d)), np.empty((b, n, d)), np.empty((b, n, d))
         for s, nan in zip(slices, has_nan):
             backward_slice(s, nan, g, g_q, g_k, g_v)
-        project_back(g_q, w_q)
+        _product_back(emb, w_q, g_q)
         del g_q
-        project_back(g_k, w_k)
+        _product_back(emb, w_k, g_k)
         del g_k
-        project_back(g_v, w_v)
+        _product_back(emb, w_v, g_v)
 
     return Tensor(out_val.reshape(b, n * d), (emb, w_q, w_k, w_v), backward), w, mask
 

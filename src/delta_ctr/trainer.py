@@ -31,22 +31,18 @@ class CurriculumState:
 
     c: int  # current bottleneck size
     lr: float
+    delta: int  # bottleneck decrement on plateau
+    lr_decay: float
+    c_min: int
     best_loss: float = math.inf
     flag: bool = False
-    delta: int = 1  # bottleneck decrement on plateau
-    lr_decay: float = 0.1
-    c_min: int = 2
 
     @classmethod
     def initial(cls, c_max, lr, delta=None, lr_decay=0.1, c_min=2):
+        """The schedule at bottleneck c_max, of settings fit has validated."""
         if delta is None:
             delta = max(1, math.ceil(c_max / 8))
-        if not 0 < lr_decay < 1:
-            raise ParameterError("lr_decay must be in (0,1)")
-        if delta < 1:
-            raise ParameterError("delta must be >= 1")
-        c_min = min(c_min, c_max)
-        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_min=c_min)
+        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_min=min(c_min, c_max))
 
 
 def curriculum_step(s, new_val_loss):
@@ -105,8 +101,8 @@ def optimizer_step(params, grads, state, lr):
     v = b2 * v + (1 - b2) * g * g and p -= lr * (m / c1) / (sqrt(v / c2) + eps)
     in the same order, so the bits are those of that formula, which would
     allocate a temporary the size of the parameter for every operation.
-    From ADAM_SPLIT elements on, the worker thread updates half of them
-    while the caller updates the other half (see _halves); each element
+    From ADAM_SPLIT elements on, the caller updates the first len(a) // 2
+    rows of every tensor a and the worker thread the rest; each element
     sees the same operations either way.
     """
     named = params.named_params()
@@ -138,28 +134,9 @@ def optimizer_step(params, grads, state, lr):
     if sum(p.size for p, *_ in share) < ADAM_SPLIT:
         update(share)
     else:
-        first, second = _halves(share)
+        first = [tuple(a[: len(a) // 2] for a in arrays) for arrays in share]
+        second = [tuple(a[len(a) // 2 :] for a in arrays) for arrays in share]
         nm.concurrently(lambda: update(first), lambda: update(second))
-
-
-def _halves(share):
-    """Cut a list of same-shape array tuples into two lists with equal
-    element counts, to within a row: the tuples in order, the one that
-    crosses the midpoint cut by rows (for the embedding, the table's)."""
-    half = sum(a.size for a, *_ in share) / 2
-    first, second, seen = [], [], 0
-    for arrays in share:
-        size = arrays[0].size
-        if seen + size <= half:
-            first.append(arrays)
-        elif seen >= half:
-            second.append(arrays)
-        else:
-            r = round((half - seen) / size * len(arrays[0]))
-            first.append(tuple(a[:r] for a in arrays))
-            second.append(tuple(a[r:] for a in arrays))
-        seen += size
-    return first, second
 
 
 @dataclass
@@ -199,8 +176,8 @@ class TrainSettings:
     fixed_k: int | None = None  # disable the curriculum, train at this k
 
     def validate(self, n_fields):
-        """Reject the values a `delta train` run cannot use; fit itself
-        takes t_max=0 and returns the initial parameters."""
+        """Reject the values a training run cannot use; fit calls this
+        before it builds anything."""
         checks = [
             ("batch_size", is_count(self.batch_size), "an integer >= 1"),
             ("lr", is_real(self.lr) and self.lr > 0, "a number > 0"),
@@ -239,8 +216,10 @@ def fit(config, settings, train_ds, val_ds, seed):
     Each epoch trains at the current (bottleneck, lr), evaluates validation
     logloss, and advances the schedule. Returns the parameters of the
     best-validation-logloss epoch together with the history; training stops
-    after t_max epochs or when the lr decays below lr_floor.
+    after t_max epochs or when the lr decays below lr_floor. A config or
+    settings that their validate rejects raise ParameterError first.
     """
+    settings.validate(config.validate().n_fields)
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ParameterError("datasets must be nonempty")
     params = model_mod.ModelParams.init(config, train_ds.vocab_sizes, seed)

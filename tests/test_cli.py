@@ -521,8 +521,10 @@ class TestGradcheckCommand:
 
         for prim in PRIMITIVES:
             assert prim in out  # report covers every registered primitive
-        # and every tensor of every variant's whole network
+        # and scale, which is not registered, and every tensor of every
+        # variant's whole network
         ok = {line.split()[1] for line in out.splitlines() if line.startswith("ok")}
+        assert "scale" in ok
         for variant in model_mod.VARIANTS:
             cfg = model_mod.ModelConfig(n_fields=4, embed_dim=3, tower1_layers=[8], tower2_layers=[8],
                                         cross_depth=2, variant=variant)

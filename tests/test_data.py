@@ -242,6 +242,17 @@ class TestRawIO:
         with pytest.raises(DataError, match=f":3: label must be 0 or 1, got {label!r}"):
             data_mod.read_raw(p)
 
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_header_with_a_quoted_newline(self, tmp_path, delim):
+        p = tmp_path / "raw.csv"
+        p.write_text(f'label{delim}"a\nb"\n1{delim}x\n0{delim}y\n')
+        schema, labels, columns = data_mod.read_raw(p)
+        assert [f.name for f in schema] == ["a\nb"] and labels == [1, 0]
+        assert columns == [data_mod.Column.of(("x", "y"))]
+        p.write_text(f'label{delim}"a\nb"\n1{delim}x\n0.5{delim}y\n')
+        with pytest.raises(DataError, match=":4: label must be 0 or 1, got '0.5'"):
+            data_mod.read_raw(p)
+
     def test_labels_that_parse_to_0_or_1_accepted(self, tmp_path):
         p = tmp_path / "ok.csv"
         p.write_text("label,color\n0.0,a\n1.0,b\n1e0,c\n-0,d\n 1,e\n")

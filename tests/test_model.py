@@ -80,6 +80,12 @@ class TestDeltaForward:
         model_mod.delta_forward(idx, params, k=2, mode="train", rng=Rng(0))
         assert all(t._backward is not None for t in made)
 
+    def test_unknown_mode_raises(self):
+        idx, _ = make_batch()
+        params = ModelParams.init(tiny_config(), VOCABS, seed=2)
+        with pytest.raises(ParameterError, match="unknown mode 'training'"):
+            model_mod.delta_forward(idx, params, k=2, mode="training", rng=Rng(0))
+
     def test_infer_never_evaluates_eeo(self):
         idx, _ = make_batch()
         params = ModelParams.init(tiny_config(), VOCABS, seed=2)

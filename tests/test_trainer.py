@@ -171,23 +171,22 @@ class TestOptimizerStep:
 
     def test_split_step_bit_equal_to_the_out_of_place_formula(self, monkeypatch):
         calls = self.split_on_both_threads(monkeypatch)
-        params, _ = self.make((40, 40))  # the embedding, 160 of 258 elements, is cut by rows
-        first, second = trainer_mod._halves([(p.value,) for _, p in params.named_params()])
-        assert first[0][0].shape == (64, 2) and second[0][0].shape == (16, 2)
         self.check_formula((40, 40))
         assert len(calls) == 4  # one per step
 
-    def test_halves_cover_every_element_once_in_equal_shares(self):
-        share = [(np.zeros(s), np.zeros(s)) for s in [(7, 3), (5,), (40, 2), (1, 1), (9, 4)]]
-        first, second = trainer_mod._halves(share)
-        for part in (first, second):
-            for a, b in part:
-                assert a.shape == b.shape
-                a += 1
-                b += 1
-        assert all((a == 1).all() and (b == 1).all() for a, b in share)
-        sizes = [sum(a.size for a, _ in part) for part in (first, second)]
-        assert abs(sizes[0] - sizes[1]) <= 2  # a row of the (40, 2) tensor it cuts
+    def test_caller_updates_the_first_half_of_the_rows_of_every_tensor(self, monkeypatch):
+        # the worker's side is dropped, so only the caller's rows move
+        monkeypatch.setattr(trainer_mod, "ADAM_SPLIT", 1)
+        monkeypatch.setattr(nm, "concurrently", lambda first, second: (first(), None))
+        params, state = self.make((7, 4))  # odd and even row counts, and (1,) biases
+        before = params.copy_values()
+        grads = {n: np.ones_like(p.value) for n, p in params.named_params()}
+        trainer_mod.optimizer_step(params, grads, state, lr=0.1)
+        for n, p in params.named_params():
+            half = len(p.value) // 2
+            assert (p.value[:half] != before[n][:half]).all(), n
+            assert np.array_equal(p.value[half:], before[n][half:]), n
+            assert state.m[n][:half].all() and not state.m[n][half:].any(), n
 
     def test_nan_in_the_workers_share_changes_nothing(self, monkeypatch):
         calls = self.split_on_both_threads(monkeypatch)
@@ -259,11 +258,27 @@ def small_config(**kw):
 class TestFit:
     def test_t_max_zero(self):
         tr, va, _ = small_data()
-        params, history, k = trainer_mod.fit(
-            small_config(), trainer_mod.TrainSettings(batch_size=64, t_max=0), tr, va, seed=0
-        )
-        assert history.records == []
-        assert k == 4
+        with pytest.raises(ParameterError, match="trainer t_max must be an integer >= 1, got 0"):
+            trainer_mod.fit(small_config(), trainer_mod.TrainSettings(batch_size=64, t_max=0), tr, va, seed=0)
+
+    @pytest.mark.parametrize("bad, says", [
+        (dict(lr=-0.05), "trainer lr must be a number > 0, got -0.05"),
+        (dict(c_min=0), "trainer c_min must be an integer >= 1, got 0"),
+        (dict(fixed_k=5), r"trainer fixed_k must be null or an integer in \[1, 4\], got 5"),
+    ], ids=["lr", "c_min", "fixed_k"])
+    def test_bad_settings_raise_before_the_first_batch(self, bad, says, monkeypatch):
+        def reached(*args):
+            raise AssertionError("a batch was trained")
+
+        monkeypatch.setattr(model_mod, "backward_and_accumulate", reached)
+        tr, va, _ = small_data()
+        with pytest.raises(ParameterError, match=says):
+            trainer_mod.fit(small_config(), trainer_mod.TrainSettings(batch_size=64, **bad), tr, va, seed=0)
+
+    def test_bad_config_is_named_before_the_settings_read_its_n_fields(self):
+        tr, va, _ = small_data()
+        with pytest.raises(ParameterError, match="n_fields must be an integer >= 1, got '4'"):
+            trainer_mod.fit(small_config(n_fields="4"), trainer_mod.TrainSettings(fixed_k=2), tr, va, seed=0)
 
     def test_unknown_variant_raises(self):
         tr, va, _ = small_data()
