@@ -87,14 +87,10 @@ def load_config(path, seed_override=None):
     return cfg
 
 
-def _build(cls, section, *validate_args, **override):
-    """A checked ModelConfig or TrainSettings from its merged config section;
-    `override` adds or replaces fields (n_fields, an ablation's variant)."""
-    given = {_FIELD.get(k, k): v for k, v in section.items()} | override
-    try:
-        return cls(**given).validate(*validate_args)
-    except ParameterError as e:
-        raise ConfigError(str(e)) from e
+def _build(cls, section, **override):
+    """A ModelConfig or TrainSettings (each checks itself) from its merged config
+    section; `override` adds or replaces fields (n_fields, an ablation's variant)."""
+    return cls(**({_FIELD.get(k, k): v for k, v in section.items()} | override))
 
 
 def _load_splits(cache_path):
@@ -132,7 +128,7 @@ def cmd_train(args):
     cfg = load_config(args.config, args.seed)
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     mc = _build(model_mod.ModelConfig, cfg["model"], n_fields=train_ds.n_fields)
-    settings = _build(trainer_mod.TrainSettings, cfg["trainer"], train_ds.n_fields)
+    settings = _build(trainer_mod.TrainSettings, cfg["trainer"])
     params, history, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, cfg["seed"])
     prefix = cfg["out_prefix"]
     history.write(prefix + ".history.tsv")
@@ -166,17 +162,15 @@ def cmd_ablate(args):
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     cfg = load_config(args.config, args.seed)
-    variants = args.variants.split(",")
-    for v in variants:
-        if v not in model_mod.VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}; choose from {tuple(model_mod.VARIANTS)}")
     train_ds, val_ds, test_ds = _load_splits(cfg["data"]["cache"])
     eval_ds = test_ds if len(test_ds) else val_ds
     seeds = [cfg["seed"] + i for i in range(args.seeds)]
-    settings = _build(trainer_mod.TrainSettings, cfg["trainer"], train_ds.n_fields)
+    configs = [_build(model_mod.ModelConfig, cfg["model"], n_fields=train_ds.n_fields, variant=v)
+               for v in args.variants.split(",")]
+    settings = _build(trainer_mod.TrainSettings, cfg["trainer"])
+    settings.check_fixed_k(train_ds.n_fields)  # fit checks it too, but after the header
     print("variant\tauc_mean\tauc_std\tlogloss_mean\tlogloss_std")
-    for v in variants:
-        mc = _build(model_mod.ModelConfig, cfg["model"], n_fields=train_ds.n_fields, variant=v)
+    for mc in configs:
         aucs, lls = [], []
         for s in seeds:
             params, _, best_k = trainer_mod.fit(mc, settings, train_ds, val_ds, s)
@@ -184,7 +178,7 @@ def cmd_ablate(args):
             aucs.append(res.auc)
             lls.append(res.logloss)
         print(
-            f"{v}\t{np.mean(aucs):.6f}\t{np.std(aucs):.6f}"
+            f"{mc.variant}\t{np.mean(aucs):.6f}\t{np.std(aucs):.6f}"
             f"\t{np.mean(lls):.6f}\t{np.std(lls):.6f}"
         )
     return 0
@@ -247,8 +241,8 @@ def main(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, data_mod.DataError, model_mod.CheckpointError, metrics_mod.MetricError,
-            json.JSONDecodeError, OSError) as e:
+    except (ConfigError, ParameterError, data_mod.DataError, model_mod.CheckpointError,
+            metrics_mod.MetricError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # runtime errors

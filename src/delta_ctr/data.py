@@ -138,24 +138,25 @@ _PREFIX = np.array([(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], np.uint6
 
 def _factorize(buf, starts, lengths):
     """The Column of the tokens buf[s : s + n] for s, n in zip(starts,
-    lengths). Each token's bytes, zero-padded to a common width, are one
-    key compared big-endian, which orders keys as their strings: UTF-8
-    byte order is code-point order, and no token holds a NUL byte."""
-    width = int(lengths.max(initial=0))
-    if width <= 8:
-        if buf.size < 8:
-            buf = np.concatenate([buf, np.zeros(8, np.uint8)])
-        words = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one word at each byte
-        at = np.minimum(starts, buf.size - 8)  # a token in the last 7 bytes is read from the last word
-        keys = (words[at] << (8 * (starts - at)).astype(np.uint64)) & _PREFIX[lengths]
-    else:
-        cells = buf.take(starts[:, None] + np.arange(width), mode="clip")
-        cells *= np.arange(width) < lengths[:, None]
-        keys = cells.view(f"S{width}")[:, 0]
+    lengths), whose distinct tokens sort as their bytes, which is their
+    strings' order: UTF-8 byte order is code-point order. Tokens of at most
+    8 bytes, zero-padded to 8, are one key compared big-endian, which sorts
+    them alike as no token holds a NUL byte; wider ones are factorized by a
+    dict over their bytes, as padding each to the widest costs rows x width."""
+    if lengths.max(initial=0) > 8:
+        mv = memoryview(buf)
+        keys = [mv[s:e].tobytes() for s, e in zip(starts.tolist(), (starts + lengths).tolist())]
+        found = sorted(dict.fromkeys(keys))
+        code_of = dict(zip(found, range(len(found))))
+        codes = np.fromiter(map(code_of.__getitem__, keys), np.intp, len(keys))
+        return Column(b"\0".join(found).decode().split("\0"), np.bincount(codes), codes)
+    if buf.size < 8:
+        buf = np.concatenate([buf, np.zeros(8, np.uint8)])
+    words = np.ndarray((buf.size - 7,), ">u8", buf, strides=(1,))  # one word at each byte
+    at = np.minimum(starts, buf.size - 8)  # a token in the last 7 bytes is read from the last word
+    keys = (words[at] << (8 * (starts - at)).astype(np.uint64)) & _PREFIX[lengths]
     distinct, codes, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    if width <= 8:
-        distinct, width = distinct.astype(">u8"), 8
-    tokens = b"\0".join(distinct.view(f"S{width}").tolist()).decode().split("\0")
+    tokens = b"\0".join(distinct.astype(">u8").view("S8").tolist()).decode().split("\0")
     return Column(tokens if len(distinct) else [], counts, codes)
 
 
@@ -367,7 +368,7 @@ def generate_synthetic(n_fields, n_informative, vocab_size, n_rows, seed):
     indices = rng.integers(1, vocab_size, (n_rows, n_fields)).astype(np.int32)
     logit = np.zeros(n_rows)
     if n_informative > 0:
-        latents = rng.normal((n_informative, vocab_size))
+        latents = rng.normal(size=(n_informative, vocab_size))
         z = [latents[i, indices[:, i]] for i in range(n_informative)]
         if n_informative == 1:
             interaction = z[0]

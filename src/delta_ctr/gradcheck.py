@@ -36,16 +36,16 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     """One finite-difference check per registered primitive."""
     rng = Rng(seed).split("gradcheck")
     results = []
-    a = Tensor(rng.normal((3, 4)))
-    b = Tensor(rng.normal((4, 2)))
-    c = Tensor(rng.normal((3, 2)))
+    a = Tensor(rng.normal(size=(3, 4)))
+    b = Tensor(rng.normal(size=(4, 2)))
+    c = Tensor(rng.normal(size=(3, 2)))
     _check("matmul", lambda: nm.tsum(nm.mul(nm.matmul(a, b), c.value)), [a, b], tol, results)
     _check("add", lambda: nm.tsum(nm.mul(nm.add(a, a), rng_fixed_weights(a.shape))), [a], tol, results)
     _check("sub", lambda: nm.tsum(nm.mul(nm.sub(a, nm.mul(a, a)), rng_fixed_weights(a.shape))), [a], tol, results)
     _check("mul", lambda: nm.tsum(nm.mul(a, nm.mul(a, a))), [a], tol, results)
     _check("scale", lambda: nm.tsum(nm.mul(nm.scale(a, -0.5), rng_fixed_weights(a.shape))), [a], tol, results)
     # keep relu inputs away from the kink at 0
-    r = Tensor(np.where(np.abs(rng.normal((3, 4))) < 0.1, 0.5, rng.normal((3, 4))))
+    r = Tensor(np.where(np.abs(rng.normal(size=(3, 4))) < 0.1, 0.5, rng.normal(size=(3, 4))))
     _check("relu", lambda: nm.tsum(nm.mul(nm.relu(r), rng_fixed_weights(r.shape))), [r], tol, results)
     _check("sigmoid", lambda: nm.tsum(nm.mul(nm.sigmoid(a), rng_fixed_weights(a.shape))), [a], tol, results)
     _check(
@@ -66,14 +66,14 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     _check("concat", lambda: nm.tsum(nm.mul(nm.concat([a, nm.mul(a, a)], axis=-1), 0.3)), [a], tol, results)
     _check("tsum", lambda: nm.tsum(nm.mul(nm.tsum(a, axis=0), nm.tsum(a, axis=0))), [a], tol, results)
     _check("tmean", lambda: nm.tmean(nm.mul(a, a)), [a], tol, results)
-    pos = Tensor(np.abs(rng.normal((3, 4))) + 0.5)
+    pos = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.5)
     _check("log", lambda: nm.tsum(nm.log(pos)), [pos], tol, results)
     _check("clip", lambda: nm.tsum(nm.mul(nm.clip(a, -10.0, 10.0), 0.7)), [a], tol, results)
-    table = Tensor(rng.normal((6, 3)))
+    table = Tensor(rng.normal(size=(6, 3)))
     idx = np.array([[0, 2], [5, 2]])
     _check("gather", lambda: nm.tsum(nm.mul(nm.gather(table, idx), np.ones((2, 2, 3)) * 0.5)), [table], tol, results)
     _check("transpose_last", lambda: nm.tsum(nm.mul(nm.transpose_last(a), b.value[:, :1] @ np.ones((1, 3)))), [a], tol, results)
-    w = Tensor(nm.softmax_rows(Tensor(rng.normal((4, 4)) * 2)).value)
+    w = Tensor(nm.softmax_rows(Tensor(rng.normal(size=(4, 4)) * 2)).value)
     _check("topk_truncate", lambda: nm.tsum(nm.mul(nm.topk_truncate(w, 2)[0], np.arange(16.0).reshape(4, 4))), [w], tol, results)
     # the bias moves the one preactivation near the relu kink (0.014) to 0.51
     bias = Tensor([0.5, 0.0])
@@ -86,8 +86,8 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
         tol,
         results,
     )
-    emb = Tensor(rng.normal((2, 4, 3)))
-    heads = [Tensor(rng.normal((3, 3))) for _ in range(3)]
+    emb = Tensor(rng.normal(size=(2, 4, 3)))
+    heads = [Tensor(rng.normal(size=(3, 3))) for _ in range(3)]
     weights = rng_fixed_weights((2, 12))
     for label, k, scope in (("ctm_head", 2, "row"), ("ctm_head/global", 1, "global"), ("ctm_head/k=n", 4, "row")):
         _check(label, lambda k=k, scope=scope: nm.tsum(nm.mul(nm.ctm_head(emb, *heads, k, scope)[0], weights)), [emb] + heads, tol, results)
@@ -96,7 +96,7 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
     # last 3 instances (2 in the first slice, 1 in the second); differencing
     # all of its entries would take minutes
     wide, b2 = rng.split("slices"), nm.head_slice(3) + 1
-    emb2, heads2 = wide.normal((b2, 3, 2)), [Tensor(wide.normal((2, 2))) for _ in range(3)]
+    emb2, heads2 = wide.normal(size=(b2, 3, 2)), [Tensor(wide.normal(size=(2, 2))) for _ in range(3)]
     fixed, edge = Tensor(emb2[:-3], requires_grad=False), Tensor(emb2[-3:])
     weights2 = rng_fixed_weights((b2, 6))
     _check(
@@ -106,11 +106,11 @@ def check_primitives(tol=DEFAULT_TOL, seed=0):
         tol,
         results,
     )
-    gate = Tensor(rng.normal((4,)))
+    gate = Tensor(rng.normal(size=(4,)))
     _check("gate_mix", lambda: nm.tsum(nm.mul(nm.gate_mix(a, nm.mul(a, a), gate), rng_fixed_weights(a.shape))), [a, gate], tol, results)
     probs = Tensor(rng.random((6,)) * 0.8 + 0.1)
     _check("bce", lambda: nm.bce(probs, [1, 0, 0, 1, 1, 0]), [probs], tol, results)
-    x0, cross_w, cross_b = Tensor(rng.normal((3, 4))), Tensor(rng.normal((4,))), Tensor(rng.normal((4,)))
+    x0, cross_w, cross_b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4,))), Tensor(rng.normal(size=(4,)))
     _check("cross", lambda: nm.tsum(nm.mul(nm.cross(x0, a, cross_w, cross_b), rng_fixed_weights(a.shape))), [x0, a, cross_w, cross_b], tol, results)
     return results
 

@@ -44,8 +44,10 @@ class CheckpointError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """A model's settings, checked once when built, so nothing checks them again."""
+
     n_fields: int
     embed_dim: int = 10
     tower1_layers: list[int] = field(default_factory=lambda: [400, 400, 400])
@@ -56,7 +58,7 @@ class ModelConfig:
     variant: str = "full"
     truncation_scope: str = "row"
 
-    def validate(self):
+    def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if self.truncation_scope not in ("row", "global"):
@@ -72,18 +74,10 @@ class ModelConfig:
             sizes = getattr(self, name)
             if not isinstance(sizes, (list, tuple)) or not sizes or not all(is_count(s) for s in sizes):
                 raise ParameterError(f"{name} must be a nonempty list of positive layer sizes, got {sizes!r}")
-        return self
 
     @property
     def flat_dim(self):
         return self.n_fields * self.embed_dim
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d).validate()
 
 
 def is_count(x):
@@ -109,7 +103,6 @@ def param_table(config, vocab_sizes):
     then the aux head. Rows that share a stream draw from it in table order;
     each dense weight is drawn with bound 1/sqrt(fan_in), biases and gates
     start at zero."""
-    config.validate()
     if len(vocab_sizes) != config.n_fields:
         raise ParameterError(f"{len(vocab_sizes)} vocab sizes for {config.n_fields} fields")
     spec = VARIANTS[config.variant]
@@ -356,7 +349,7 @@ def save_checkpoint(path, params, extra=None):
     extra), then each tensor as (name, shape, row-major float64 payload)."""
     named = params.named_params()
     header = json.dumps(
-        {"config": params.config.to_dict(), "extra": extra or {}, "n_tensors": len(named)}
+        {"config": asdict(params.config), "extra": extra or {}, "n_tensors": len(named)}
     ).encode()
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
@@ -388,7 +381,7 @@ def load_checkpoint(path, vocab_sizes):
         (hlen,) = struct.unpack_from("<I", buf, 6)
         pos = 10 + hlen
         header = json.loads(buf[10:pos])
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
         shapes = {r.name: r.shape for r in param_table(config, vocab_sizes)}
         values = {}
         for _ in range(header["n_tensors"]):

@@ -156,8 +156,8 @@ def concurrently(first, second):
     return a, future.result()
 
 
-class Rng:
-    """Splittable counter-based generator (Philox).
+class Rng(np.random.Generator):
+    """Splittable counter-based generator: a numpy Generator on Philox.
 
     Children derived via ``split`` get statistically independent streams
     keyed by (seed, path); identical seed + identical call sequence gives an
@@ -168,26 +168,10 @@ class Rng:
         self.seed = int(seed)
         self.path = tuple(path)
         digest = hashlib.sha256(repr((self.seed, self.path)).encode()).digest()
-        key = np.frombuffer(digest[:16], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        super().__init__(np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64)))
 
     def split(self, tag):
         return Rng(self.seed, self.path + (tag,))
-
-    def uniform(self, low, high, shape):
-        return self._gen.uniform(low, high, size=shape)
-
-    def random(self, shape):
-        return self._gen.random(size=shape)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
-    def integers(self, low, high, shape=None):
-        return self._gen.integers(low, high, size=shape)
-
-    def normal(self, shape, scale=1.0):
-        return self._gen.normal(0.0, scale, size=shape)
 
 
 class Tensor:

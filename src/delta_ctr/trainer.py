@@ -21,6 +21,40 @@ class TrainingError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class TrainSettings:
+    """A training run's settings, checked once when built, but for check_fixed_k's bound."""
+
+    batch_size: int = 4096
+    lr: float = 1e-4
+    t_max: int = 20
+    delta: int | None = None  # default ceil(n_fields / 8)
+    lr_decay: float = 0.1
+    c_min: int = 2
+    lr_floor: float = 1e-6
+    fixed_k: int | None = None  # disable the curriculum, train at this k
+
+    def __post_init__(self):
+        checks = [
+            ("batch_size", is_count(self.batch_size), "an integer >= 1"),
+            ("lr", is_real(self.lr) and self.lr > 0, "a number > 0"),
+            ("t_max", is_count(self.t_max), "an integer >= 1"),
+            ("delta", self.delta is None or is_count(self.delta), "null or an integer >= 1"),
+            ("lr_decay", is_real(self.lr_decay) and 0 < self.lr_decay < 1, "a number in (0, 1)"),
+            ("c_min", is_count(self.c_min), "an integer >= 1"),
+            ("lr_floor", is_real(self.lr_floor) and self.lr_floor >= 0, "a number >= 0"),
+            ("fixed_k", self.fixed_k is None or is_count(self.fixed_k), "null or an integer >= 1"),
+        ]
+        for name, ok, want in checks:
+            if not ok:
+                raise ParameterError(f"trainer {name} must be {want}, got {getattr(self, name)!r}")
+
+    def check_fixed_k(self, n_fields):
+        """ParameterError unless a model of n_fields can train at fixed_k."""
+        if self.fixed_k is not None and self.fixed_k > n_fields:
+            raise ParameterError(f"trainer fixed_k must be null or an integer in [1, {n_fields}], got {self.fixed_k}")
+
+
+@dataclass(frozen=True)
 class CurriculumState:
     """State of the bottleneck schedule.
 
@@ -38,8 +72,8 @@ class CurriculumState:
     flag: bool = False
 
     @classmethod
-    def initial(cls, c_max, lr, delta=None, lr_decay=0.1, c_min=2):
-        """The schedule at bottleneck c_max, of settings fit has validated."""
+    def initial(cls, c_max, lr, delta=None, lr_decay=TrainSettings.lr_decay, c_min=TrainSettings.c_min):
+        """The schedule at bottleneck c_max, of checked TrainSettings values."""
         if delta is None:
             delta = max(1, math.ceil(c_max / 8))
         return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_min=min(c_min, c_max))
@@ -164,37 +198,6 @@ class TrainHistory:
                 )
 
 
-@dataclass
-class TrainSettings:
-    batch_size: int = 4096
-    lr: float = 1e-4
-    t_max: int = 20
-    delta: int | None = None  # default ceil(n_fields / 8)
-    lr_decay: float = 0.1
-    c_min: int = 2
-    lr_floor: float = 1e-6
-    fixed_k: int | None = None  # disable the curriculum, train at this k
-
-    def validate(self, n_fields):
-        """Reject the values a training run cannot use; fit calls this
-        before it builds anything."""
-        checks = [
-            ("batch_size", is_count(self.batch_size), "an integer >= 1"),
-            ("lr", is_real(self.lr) and self.lr > 0, "a number > 0"),
-            ("t_max", is_count(self.t_max), "an integer >= 1"),
-            ("delta", self.delta is None or is_count(self.delta), "null or an integer >= 1"),
-            ("lr_decay", is_real(self.lr_decay) and 0 < self.lr_decay < 1, "a number in (0, 1)"),
-            ("c_min", is_count(self.c_min), "an integer >= 1"),
-            ("lr_floor", is_real(self.lr_floor) and self.lr_floor >= 0, "a number >= 0"),
-            ("fixed_k", self.fixed_k is None or is_count(self.fixed_k) and self.fixed_k <= n_fields,
-             f"null or an integer in [1, {n_fields}]"),
-        ]
-        for name, ok, want in checks:
-            if not ok:
-                raise ParameterError(f"trainer {name} must be {want}, got {getattr(self, name)!r}")
-        return self
-
-
 def predict(params, dataset, k):
     """Infer-mode scores over a dataset in 4096-row batches (pure function of params)."""
     scores = []
@@ -216,10 +219,10 @@ def fit(config, settings, train_ds, val_ds, seed):
     Each epoch trains at the current (bottleneck, lr), evaluates validation
     logloss, and advances the schedule. Returns the parameters of the
     best-validation-logloss epoch together with the history; training stops
-    after t_max epochs or when the lr decays below lr_floor. A config or
-    settings that their validate rejects raise ParameterError first.
+    after t_max epochs or when the lr decays below lr_floor. Settings whose
+    fixed_k the model cannot train at raise ParameterError first.
     """
-    settings.validate(config.validate().n_fields)
+    settings.check_fixed_k(config.n_fields)
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ParameterError("datasets must be nonempty")
     params = model_mod.ModelParams.init(config, train_ds.vocab_sizes, seed)

@@ -270,13 +270,13 @@ def test_criterion_09_complexity_linear_in_k():
     counts = []
     for k in ks:
         rng = Rng(k)
-        w = np.exp(rng.normal((b, n, n)))
+        w = np.exp(rng.normal(size=(b, n, n)))
         w = w / w.sum(axis=-1, keepdims=True)
         order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
         vals = np.take_along_axis(w, order, axis=-1)
         total = 0
         for _ in range(h):
-            v = rng.normal((b, n, d))
+            v = rng.normal(size=(b, n, d))
             out, ops = layers_mod.truncated_aggregate_sparse(vals, order, v)
             total += ops
             if k == n:  # at k=n the sparse path must equal the dense product

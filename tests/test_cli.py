@@ -248,15 +248,28 @@ class TestTrain:
          ("model", "embed_dim", 0), ("model", "embed_dim", -2), ("model", "tower1_layers", []),
          ("model", "lambda", "x")],
     )
-    def test_bad_trainer_or_model_value_exit_1(self, config_file, tmp_path, capsys, section, key, value):
+    @pytest.mark.parametrize("command", [["train"], ["ablate", "--variants", "full,mlp_only"]], ids=["train", "ablate"])
+    def test_bad_trainer_or_model_value_exit_1(self, config_file, tmp_path, capsys, section, key, value, command):
         raw = json.loads(config_file.read_text())
         raw[section][key] = value
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(raw))
-        assert cli.main(["train", "--config", str(p)]) == 1
-        err = capsys.readouterr().err
+        assert cli.main([*command, "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and key in err and json.dumps(value) in err.replace("'", '"')
         assert not (tmp_path / "run.ckpt").exists()
+
+    def test_one_train_run_checks_each_config_once(self, config_file, monkeypatch):
+        checked = []
+        for cls in (model_mod.ModelConfig, trainer_mod.TrainSettings):
+            def counted(self, check=cls.__post_init__):
+                checked.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        assert cli.main(["train", "--config", str(config_file)]) == 0
+        assert sorted(checked) == ["ModelConfig", "TrainSettings"]
 
     @pytest.mark.parametrize("raw, says", [
         ({"seed": "x"}, 'config seed must be an integer, got "x"'),

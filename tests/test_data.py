@@ -501,6 +501,43 @@ def test_column_of_a_token_holding_nul_raises():
         data_mod.Column.of(("a", "a\0"))
 
 
+def column_oracle(tokens):
+    """The Column of tokens by its definition: distinct tokens in code-point
+    order, each one's row count, and each row's index into them."""
+    distinct = sorted(set(tokens))
+    code = {t: i for i, t in enumerate(distinct)}
+    return distinct, [tokens.count(t) for t in distinct], [code[t] for t in tokens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(st.sampled_from("ab\x01\x7f\u00e9\u65e5\U0001f600"), max_size=12), max_size=30))
+@example(["a" * 9, "a" * 8, "a" * 9 + "\x01", "b", "a" * 9])  # one token over 8 bytes and its prefixes
+def test_column_of_any_tokens_is_its_definition(tokens):
+    col = data_mod.Column.of(tokens)
+    distinct, counts, codes = column_oracle(tokens)
+    assert (col.tokens, col.counts.tolist(), col.codes.tolist()) == (distinct, counts, codes)
+
+
+def test_a_wide_token_costs_prep_its_bytes_not_rows_times_its_width(tmp_path):
+    """One 5,000-character cell among 5,000 rows: a column padded to its
+    widest token would hold 25 MB of cells and eight times that in indices."""
+    import tracemalloc
+
+    p = tmp_path / "wide.csv"
+    rows = [f"{i % 2},t{i % 7},{'w' * 5000 if i == 1234 else f'v{i % 13}'}" for i in range(5000)]
+    p.write_text("label,a,b\n" + "\n".join(rows) + "\n")
+    assert p.stat().st_size < 48 * 1024
+    tracemalloc.start()
+    try:
+        schema, labels, columns = data_mod.read_raw(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert columns[1] == data_mod.Column.of([f"v{i % 13}" if i != 1234 else "w" * 5000 for i in range(5000)])
+    assert columns[1].tokens[-1] == "w" * 5000 and columns[1].counts[-1] == 1
+
+
 @pytest.mark.parametrize("raw, line", [
     (b"label,a\n1,x\n0,caf\xe9\n", 3),
     (b"label,a\r\n1,x\r\n0,\xff\r\n", 3),

@@ -30,8 +30,8 @@ def make_branch(m, depth, rng):
 class TestCrossLayer:
     def test_zero_params_residual_identity(self):
         m = 5
-        x0 = Tensor(Rng(0).normal((2, m)))
-        xl = Tensor(Rng(1).normal((2, m)))
+        x0 = Tensor(Rng(0).normal(size=(2, m)))
+        xl = Tensor(Rng(1).normal(size=(2, m)))
         p = CrossLayerParams(weight=Tensor(np.zeros(m)), bias=Tensor(np.zeros(m)))
         out = nm.cross(x0, xl, p.weight, p.bias)
         assert np.array_equal(out.value, xl.value)
@@ -52,10 +52,10 @@ class TestCrossLayer:
     def test_gradient_fd(self):
         rng = Rng(2)
         m = 4
-        x0 = Tensor(rng.normal((2, m)))
-        xl = Tensor(rng.normal((2, m)))
-        p = CrossLayerParams(weight=Tensor(rng.normal((m,))), bias=Tensor(rng.normal((m,))))
-        weights = rng.normal((2, m))
+        x0 = Tensor(rng.normal(size=(2, m)))
+        xl = Tensor(rng.normal(size=(2, m)))
+        p = CrossLayerParams(weight=Tensor(rng.normal(size=(m,))), bias=Tensor(rng.normal(size=(m,))))
+        weights = rng.normal(size=(2, m))
 
         def f():
             return nm.tsum(nm.mul(nm.cross(x0, xl, p.weight, p.bias), weights))
@@ -82,7 +82,7 @@ class TestEeoForward:
         branch = make_branch(m, 1, rng.split("b"))
         branch.layers[0].weight.value = np.zeros(m)
         branch.layers[0].bias.value = np.zeros(m)
-        x = rng.normal((3, m))
+        x = rng.normal(size=(3, m))
         out = eeo_mod.eeo_forward(Tensor(x), branch)
         expected = x @ branch.head_weight.value[:, 0] + branch.head_bias.value[0]
         np.testing.assert_allclose(out.value, expected, atol=1e-12)
@@ -91,7 +91,7 @@ class TestEeoForward:
         m = 8
         rng = Rng(5)
         branch = make_branch(m, 3, rng.split("b"))
-        x = rng.normal((4, m))
+        x = rng.normal(size=(4, m))
         out = eeo_mod.eeo_forward(Tensor(x), branch)
         np.testing.assert_allclose(out.value, eeo_reference(x, branch), atol=1e-12)
 
@@ -110,7 +110,7 @@ class TestEeoFm:
 
     def test_matches_pairwise_double_loop(self):
         rng = Rng(6)
-        e = rng.normal((2, 3, 2))
+        e = rng.normal(size=(2, 3, 2))
         bias = 0.1
         out = eeo_mod.eeo_fm_forward(Tensor(e), Tensor([bias]))
         for r in range(2):

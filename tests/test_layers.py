@@ -55,7 +55,7 @@ class TestEmbedLookup:
 class TestCtmForward:
     def test_k_equals_n_matches_soft_attention_bitwise(self):
         rng = Rng(3)
-        emb = Tensor(rng.normal((4, 5, 3)))
+        emb = Tensor(rng.normal(size=(4, 5, 3)))
         head = make_head(3, rng.split("h"))
         trunc, _ = layers_mod.ctm_forward(emb, head, k=5)
         soft, _ = layers_mod.soft_attention_forward(emb, head)
@@ -64,7 +64,7 @@ class TestCtmForward:
     def test_zero_projections_give_uniform_attention(self):
         rng = Rng(4)
         n, d = 4, 3
-        emb = Tensor(rng.normal((1, n, d)))
+        emb = Tensor(rng.normal(size=(1, n, d)))
         head = make_head(d, rng.split("h"))
         head.w_q.value = np.zeros((d, d))
         head.w_k.value = np.zeros((d, d))
@@ -84,7 +84,7 @@ class TestCtmForward:
 
     def test_bad_k(self):
         rng = Rng(5)
-        emb = Tensor(rng.normal((1, 3, 2)))
+        emb = Tensor(rng.normal(size=(1, 3, 2)))
         head = make_head(2, rng.split("h"))
         with pytest.raises(ParameterError):
             layers_mod.ctm_forward(emb, head, k=0)
@@ -93,9 +93,9 @@ class TestCtmForward:
 
     def test_gradients_vs_finite_differences(self):
         rng = Rng(6)
-        emb = Tensor(rng.normal((2, 4, 3)))
+        emb = Tensor(rng.normal(size=(2, 4, 3)))
         head = make_head(3, rng.split("h"))
-        weights = rng.normal((2, 12))
+        weights = rng.normal(size=(2, 12))
 
         def f():
             out, _ = layers_mod.ctm_forward(emb, head, k=2)
@@ -109,12 +109,12 @@ class TestCtmForward:
 
 class TestTopkTruncate:
     def test_k_equals_n_identity(self):
-        w = nm.softmax_rows(Tensor(Rng(7).normal((5, 5)))).value
+        w = nm.softmax_rows(Tensor(Rng(7).normal(size=(5, 5)))).value
         theta, _ = nm.topk_truncate(Tensor(w), 5)
         assert np.array_equal(theta.value, w)
 
     def test_k_one_keeps_row_max(self):
-        w = nm.softmax_rows(Tensor(Rng(8).normal((6, 6)))).value
+        w = nm.softmax_rows(Tensor(Rng(8).normal(size=(6, 6)))).value
         theta, mask = nm.topk_truncate(Tensor(w), 1)
         for i in range(6):
             j = w[i].argmax()
@@ -128,7 +128,7 @@ class TestTopkTruncate:
         assert np.array_equal(mask, [[True, True, False, False]])
 
     def test_truncation_mass(self):
-        w = nm.softmax_rows(Tensor(Rng(9).normal((5, 5)))).value
+        w = nm.softmax_rows(Tensor(Rng(9).normal(size=(5, 5)))).value
         for k in range(1, 6):
             theta, _ = nm.topk_truncate(Tensor(w), k)
             sums = theta.value.sum(axis=-1)
@@ -138,14 +138,14 @@ class TestTopkTruncate:
                 assert np.all(sums < 1.0)
 
     def test_sparsity_exact_k(self):
-        w = nm.softmax_rows(Tensor(Rng(10).normal((7, 7)))).value
+        w = nm.softmax_rows(Tensor(Rng(10).normal(size=(7, 7)))).value
         for k in (1, 3, 7):
             theta, _ = nm.topk_truncate(Tensor(w), k)
             assert np.all((theta.value != 0).sum(axis=-1) == k)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_monotone_containment(self, seed):
-        w = nm.softmax_rows(Tensor(Rng(seed).normal((6, 6)))).value
+        w = nm.softmax_rows(Tensor(Rng(seed).normal(size=(6, 6)))).value
         prev = None
         for k in range(1, 7):
             _, mask = nm.topk_truncate(Tensor(w), k)
@@ -154,7 +154,7 @@ class TestTopkTruncate:
             prev = mask
 
     def test_global_scope(self):
-        w = nm.softmax_rows(Tensor(Rng(11).normal((1, 3, 3)))).value
+        w = nm.softmax_rows(Tensor(Rng(11).normal(size=(1, 3, 3)))).value
         theta, mask = layers_mod.topk_truncate(Tensor(w), 2, scope="global")
         assert mask.sum() == 6  # k*n survivors over the whole matrix
         kept = np.sort(w.reshape(-1))[-6:]
@@ -164,22 +164,22 @@ class TestTopkTruncate:
 class TestEfgFuse:
     def test_zero_logits_equal_mix(self):
         rng = Rng(12)
-        e = Tensor(rng.normal((2, 6)))
-        enh = Tensor(rng.normal((2, 6)))
+        e = Tensor(rng.normal(size=(2, 6)))
+        enh = Tensor(rng.normal(size=(2, 6)))
         out = layers_mod.efg_fuse(e, enh, Tensor(np.zeros(6)))
         np.testing.assert_allclose(out.value, 0.5 * e.value + 0.5 * enh.value, atol=1e-15)
 
     def test_saturated_gate_selects_original(self):
         rng = Rng(13)
-        e = Tensor(rng.normal((2, 6)))
-        enh = Tensor(rng.normal((2, 6)))
+        e = Tensor(rng.normal(size=(2, 6)))
+        enh = Tensor(rng.normal(size=(2, 6)))
         out = layers_mod.efg_fuse(e, enh, Tensor(np.full(6, 20.0)))
         np.testing.assert_allclose(out.value, e.value, atol=1e-8)
 
     def test_saturated_gate_selects_enhanced(self):
         rng = Rng(14)
-        e = Tensor(rng.normal((2, 6)))
-        enh = Tensor(rng.normal((2, 6)))
+        e = Tensor(rng.normal(size=(2, 6)))
+        enh = Tensor(rng.normal(size=(2, 6)))
         out = layers_mod.efg_fuse(e, enh, Tensor(np.full(6, -20.0)))
         np.testing.assert_allclose(out.value, enh.value, atol=1e-8)
 
@@ -189,10 +189,10 @@ class TestEfgFuse:
 
     def test_gate_gradient_fd(self):
         rng = Rng(15)
-        e = Tensor(rng.normal((2, 6)))
-        enh = Tensor(rng.normal((2, 6)))
-        gate = Tensor(rng.normal((6,)))
-        weights = rng.normal((2, 6))
+        e = Tensor(rng.normal(size=(2, 6)))
+        enh = Tensor(rng.normal(size=(2, 6)))
+        gate = Tensor(rng.normal(size=(6,)))
+        weights = rng.normal(size=(2, 6))
 
         def f():
             return nm.tsum(nm.mul(layers_mod.efg_fuse(e, enh, gate), weights))
@@ -206,9 +206,9 @@ class TestSparseAggregation:
     def test_matches_dense(self):
         rng = Rng(16)
         b, n, d, k = 3, 6, 4, 2
-        w = nm.softmax_rows(Tensor(rng.normal((b, n, n)))).value
+        w = nm.softmax_rows(Tensor(rng.normal(size=(b, n, n)))).value
         theta, mask = nm.topk_truncate(Tensor(w), k)
-        v = rng.normal((b, n, d))
+        v = rng.normal(size=(b, n, d))
         dense = theta.value @ v
         order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
         vals = np.take_along_axis(w, order, axis=-1)
@@ -221,12 +221,12 @@ class TestSparseAggregation:
         counts = []
         for k in (5, 10, 20, 39):
             rng = Rng(k)
-            w = nm.softmax_rows(Tensor(rng.normal((1, n, n)))).value
+            w = nm.softmax_rows(Tensor(rng.normal(size=(1, n, n)))).value
             order = np.argsort(-w, axis=-1, kind="stable")[..., :k]
             vals = np.take_along_axis(w, order, axis=-1)
             total = 0
             for _ in range(h):
-                _, ops = layers_mod.truncated_aggregate_sparse(vals, order, rng.normal((1, n, d)))
+                _, ops = layers_mod.truncated_aggregate_sparse(vals, order, rng.normal(size=(1, n, d)))
                 total += ops
             counts.append(total)
         ks = np.array([5, 10, 20, 39], dtype=float)

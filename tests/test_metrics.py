@@ -99,7 +99,7 @@ class TestLogloss:
         edge = np.array([0.0, 1.0, 1e-9, 1e-7, 1e-7 * (1 + 1e-9), 1.0 - 1e-7, 1.0 - 1e-9, 0.5])
         for n in (1, 7, 64, 1000):
             # sigmoid outputs, like the model's: unlike uniform draws, 1 - s is not exact
-            s = np.concatenate([edge, 1.0 / (1.0 + np.exp(-3.0 * r.normal((n,))))])
+            s = np.concatenate([edge, 1.0 / (1.0 + np.exp(-3.0 * r.normal(size=(n,))))])
             y = r.integers(0, 2, (len(s),))
             want = model.bce_loss(Tensor(s), y).value
             assert metrics.logloss(s, y) == float(want)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import hashlib
 import os
 import sys
@@ -308,7 +309,7 @@ class TestTrainLoss:
 
     def test_negative_lambda_rejected_by_the_config(self):
         with pytest.raises(ParameterError, match="lambda must be a number >= 0"):
-            tiny_config(lam=-1.0).validate()
+            tiny_config(lam=-1.0)
 
 
 class TestBranchSeparation:
@@ -669,9 +670,9 @@ def test_no_two_gradients_of_a_step_share_memory():
 @pytest.mark.parametrize("rate, training", [(0.0, True), (0.3, True), (0.3, False)])
 def test_tower_is_one_node_per_layer_bitwise_equal_to_dense_then_dropout(rate, training):
     rng = Rng(8)
-    x = Tensor(rng.normal((16, 6)))
-    tower = model_mod.Mlp([(Tensor(rng.normal((a, b))), Tensor(rng.normal((b,)))) for a, b in ((6, 5), (5, 4))])
-    upstream = rng.normal((16, 4))
+    x = Tensor(rng.normal(size=(16, 6)))
+    tower = model_mod.Mlp([(Tensor(rng.normal(size=(a, b))), Tensor(rng.normal(size=(b,)))) for a, b in ((6, 5), (5, 4))])
+    upstream = rng.normal(size=(16, 4))
 
     def composed():
         h = x
@@ -823,16 +824,22 @@ class TestCheckpoint:
 class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
-            tiny_config(variant="bogus").validate()
+            tiny_config(variant="bogus")
 
     def test_bad_dropout(self):
         with pytest.raises(ParameterError):
-            tiny_config(dropout_rate=1.0).validate()
+            tiny_config(dropout_rate=1.0)
 
     def test_bad_tower(self):
         with pytest.raises(ParameterError):
-            tiny_config(tower1_layers=[0]).validate()
+            tiny_config(tower1_layers=[0])
 
     def test_unknown_truncation_scope(self):
         with pytest.raises(ParameterError, match="colum"):
-            tiny_config(truncation_scope="colum").validate()
+            tiny_config(truncation_scope="colum")
+
+    def test_a_built_config_cannot_be_changed(self):
+        cfg = tiny_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lam = -1.0
+        assert cfg == tiny_config()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import threading
 
@@ -42,8 +43,8 @@ class TestMatmul:
 
     def test_against_triple_loop(self):
         rng = Rng(11)
-        a = rng.normal((3, 4))
-        b = rng.normal((4, 2))
+        a = rng.normal(size=(3, 4))
+        b = rng.normal(size=(4, 2))
         out = nm.matmul(Tensor(a), Tensor(b))
         np.testing.assert_allclose(out.value, matmul_oracle(a, b), rtol=1e-12)
 
@@ -61,8 +62,8 @@ class TestMatmul:
             nm.matmul(Tensor(np.ones(4)), Tensor(np.ones((4, 2))))
 
     def test_backward_formula(self):
-        a = Tensor(Rng(1).normal((3, 4)))
-        b = Tensor(Rng(2).normal((4, 2)))
+        a = Tensor(Rng(1).normal(size=(3, 4)))
+        b = Tensor(Rng(2).normal(size=(4, 2)))
         out = nm.tsum(nm.matmul(a, b))
         out.backward()
         g = np.ones((3, 2))
@@ -76,7 +77,7 @@ class TestSoftmaxRows:
         np.testing.assert_allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_shift_invariance(self):
-        x = Rng(5).normal((4, 6))
+        x = Rng(5).normal(size=(4, 6))
         a = nm.softmax_rows(Tensor(x)).value
         b = nm.softmax_rows(Tensor(x + 123.456)).value
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -88,7 +89,7 @@ class TestSoftmaxRows:
 
     def test_rows_sum_to_one(self):
         for seed in range(20):
-            x = Rng(seed).normal((5, 7), scale=10)
+            x = Rng(seed).normal(scale=10, size=(5, 7))
             out = nm.softmax_rows(Tensor(x)).value
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-9)
             assert np.all(out > 0) and np.all(out <= 1)
@@ -99,7 +100,7 @@ class TestSigmoid:
         assert nm.sigmoid(Tensor([0.0])).value[0] == 0.5
 
     def test_symmetry(self):
-        x = Rng(3).normal((10,))
+        x = Rng(3).normal(size=(10,))
         s = nm.sigmoid(Tensor(x)).value + nm.sigmoid(Tensor(-x)).value
         np.testing.assert_allclose(s, 1.0, atol=1e-14)
 
@@ -119,7 +120,7 @@ class TestRelu:
         assert np.array_equal(out.value, [0.0, 0.0, 2.0])
 
     def test_nonnegative_identity(self):
-        x = np.abs(Rng(4).normal((8,)))
+        x = np.abs(Rng(4).normal(size=(8,)))
         assert np.array_equal(nm.relu(Tensor(x)).value, x)
 
     def test_gradient(self):
@@ -130,12 +131,12 @@ class TestRelu:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = Rng(6).normal((100,))
+        x = Rng(6).normal(size=(100,))
         out = nm.dropout(Tensor(x), 0.0, Rng(0), training=True)
         assert np.array_equal(out.value, x)
 
     def test_inference_identity(self):
-        x = Rng(6).normal((100,))
+        x = Rng(6).normal(size=(100,))
         out = nm.dropout(Tensor(x), 0.9, Rng(0), training=False)
         assert np.array_equal(out.value, x)
 
@@ -155,7 +156,7 @@ class TestDropout:
         # signed zeros, infinities, NaN and a value whose scaled survivor
         # overflows, among ordinary values, in the input and the upstream
         special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 2.5])
-        x = np.concatenate([np.tile(special, 12), Rng(60).normal((40,))])
+        x = np.concatenate([np.tile(special, 12), Rng(60).normal(size=(40,))])
         upstream = np.roll(x, 3)
         m = (Rng(61).random(x.shape) >= rate) / (1.0 - rate)  # the float mask
         a = Tensor(x.copy())
@@ -173,16 +174,16 @@ class TestGradOf:
         np.testing.assert_allclose(g, [6.0])
 
     def test_softmax_sum_constant(self):
-        m = Tensor(Rng(8).normal((3, 5)))
+        m = Tensor(Rng(8).normal(size=(3, 5)))
         (g,) = nm.grad_of(lambda: nm.tsum(nm.softmax_rows(m)), [m])
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_three_layer_composition_fd(self):
         rng = Rng(9)
-        w1 = Tensor(rng.normal((4, 5)))
-        w2 = Tensor(rng.normal((5, 3)))
-        w3 = Tensor(rng.normal((3, 1)))
-        x = rng.normal((2, 4))
+        w1 = Tensor(rng.normal(size=(4, 5)))
+        w2 = Tensor(rng.normal(size=(5, 3)))
+        w3 = Tensor(rng.normal(size=(3, 1)))
+        x = rng.normal(size=(2, 4))
 
         def f():
             h = nm.relu(nm.matmul(Tensor(x, requires_grad=False), w1))
@@ -203,7 +204,7 @@ class TestGradOf:
 class TestBackwardConsumesGraph:
     def build(self):
         rng = Rng(10)
-        a, b = Tensor(rng.normal((3, 4))), Tensor(rng.normal((4, 2)))
+        a, b = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 2)))
         hidden = [nm.matmul(a, b)]
         hidden.append(nm.relu(hidden[0]))
         hidden.append(nm.mul(hidden[1], hidden[1]))
@@ -233,9 +234,9 @@ def test_backward_matches_finite_differences(seed):
     m = int(rng.integers(1, 5))
     k = int(rng.integers(1, 5))
     p = int(rng.integers(1, 4))
-    a = Tensor(rng.normal((m, k)))
-    b = Tensor(rng.normal((k, p)))
-    weights = rng.normal((m, p))
+    a = Tensor(rng.normal(size=(m, k)))
+    b = Tensor(rng.normal(size=(k, p)))
+    weights = rng.normal(size=(m, p))
 
     def f():
         h = nm.matmul(a, b)
@@ -252,8 +253,8 @@ class TestConcat:
         # concat([x, x]): the first piece becomes x's gradient uncopied,
         # and the second is added into it
         rng = Rng(73)
-        x = Tensor(rng.normal((3, 2)))
-        upstream = rng.normal((3, 4))
+        x = Tensor(rng.normal(size=(3, 2)))
+        upstream = rng.normal(size=(3, 4))
         nm.tsum(nm.mul(nm.concat([x, x], axis=-1), upstream)).backward()
         assert_same_bits(x.grad, upstream[:, :2] + upstream[:, 2:])
         assert x.grad.base is not None and x.grad.base.shape == (3, 4)
@@ -300,11 +301,11 @@ def test_passed_on_gradients_that_meet_again_match_finite_differences(case):
     gradcheck-correct gradient, and so does a concat whose pieces, views
     that do not overlap, meet again."""
     rng = Rng(7)
-    x = Tensor(rng.normal((3, 4)))
-    v = Tensor(rng.normal((4, 4)))
+    x = Tensor(rng.normal(size=(3, 4)))
+    v = Tensor(rng.normal(size=(4, 4)))
     width = {"add_self": 4, "reshape": 4, "concat": 12}[case]
-    w = Tensor(rng.normal((width, 5)))
-    weights = rng.normal((3, 5))
+    w = Tensor(rng.normal(size=(width, 5)))
+    weights = rng.normal(size=(3, 5))
 
     def f():
         if case == "add_self":
@@ -322,14 +323,28 @@ def test_passed_on_gradients_that_meet_again_match_finite_differences(case):
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = Rng(42).split("x").normal((10,))
-        b = Rng(42).split("x").normal((10,))
+        a = Rng(42).split("x").normal(size=(10,))
+        b = Rng(42).split("x").normal(size=(10,))
         assert np.array_equal(a, b)
 
     def test_different_paths_differ(self):
-        a = Rng(42).split("x").normal((10,))
-        b = Rng(42).split("y").normal((10,))
+        a = Rng(42).split("x").normal(size=(10,))
+        b = Rng(42).split("y").normal(size=(10,))
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("draw", [
+        lambda g: g.uniform(-0.5, 0.5, (3, 4)),
+        lambda g: g.random((5,)),
+        lambda g: g.permutation(17),
+        lambda g: g.integers(0, 9, (2, 6)),
+        lambda g: g.normal(scale=3.0, size=(4, 2)),
+    ], ids=["uniform", "random", "permutation", "integers", "normal"])
+    def test_draws_what_a_philox_generator_keyed_by_seed_and_path_draws(self, draw):
+        rng = Rng(42).split(("epoch", 3)).split(("batch", 1))  # as fit keys a batch
+        digest = hashlib.sha256(repr((42, (("epoch", 3), ("batch", 1)))).encode()).digest()
+        bare = np.random.Generator(np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64)))
+        assert isinstance(rng, np.random.Generator)
+        assert draw(rng).tobytes() == draw(bare).tobytes()
 
 
 def test_topk_mask_bad_k():
@@ -481,7 +496,7 @@ class TestCtmHead:
         size = nm.head_slice(6)
         for b in (5, size + 1, 2 * size + 100):
             rng = Rng(20 + k)
-            emb = Tensor(rng.normal((b, 6, 3)))
+            emb = Tensor(rng.normal(size=(b, 6, 3)))
             head = make_head(3, rng.split("h"))
             _, _, theta, mask = compare_heads(emb, head, k, scope)
             if scope == "row":
@@ -495,7 +510,7 @@ class TestCtmHead:
         # the second slice holds only the NaN instance, and the first none
         b = nm.head_slice(6) + 1
         rng = Rng(50)
-        emb = Tensor(rng.normal((b, 6, 3)))
+        emb = Tensor(rng.normal(size=(b, 6, 3)))
         emb.value[-1, 2, 0] = np.nan
         head = make_head(3, rng.split("h"))
         flags, truncated = [], nm._truncated
@@ -527,7 +542,7 @@ class TestCtmHead:
     @pytest.mark.parametrize("scope", ["row", "global"])
     def test_k_equals_n_bitwise_equal_to_soft_attention(self, scope):
         rng = Rng(30)
-        emb = Tensor(rng.normal((4, 5, 3)))
+        emb = Tensor(rng.normal(size=(4, 5, 3)))
         head = make_head(3, rng.split("h"))
 
         def soft(emb, head, k, scope):
@@ -541,7 +556,7 @@ class TestCtmHead:
     @pytest.mark.parametrize("scope", ["row", "global"])
     def test_backward_keeps_weights_and_mask_but_not_truncated_weights(self, scope):
         rng = Rng(40)
-        emb = Tensor(rng.normal((3, 5, 2)))
+        emb = Tensor(rng.normal(size=(3, 5, 2)))
         head = make_head(2, rng.split("h"))
         out, w, mask = nm.ctm_head(emb, head.w_q, head.w_k, head.w_v, 2, scope)
         kept, todo = [], [out._backward]
@@ -589,10 +604,10 @@ SPECIAL_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 
 class TestDense:
     def test_bitwise_equal_to_composed_primitives(self):
         rng = Rng(40)
-        x, w, b = Tensor(rng.normal((6, 5))), Tensor(rng.normal((5, 4))), Tensor(rng.normal((4,)))
+        x, w, b = Tensor(rng.normal(size=(6, 5))), Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4,)))
         x.value[0, :] = 0.0  # preactivations of exactly the bias, one of them 0 below
         b.value[1] = 0.0
-        upstream = rng.normal((6, 4))
+        upstream = rng.normal(size=(6, 4))
 
         def composed():
             return nm.relu(nm.add(nm.matmul(x, w), b))
@@ -674,8 +689,8 @@ class TestDense:
         # updated in place from it on
         monkeypatch.setattr(nm, "STRIDED_COPY_BYTES", copy_bytes)
         rng = Rng(74)
-        x, w, b, side = (Tensor(rng.normal(shape)) for shape in ((6, 5), (5, 4), (4,), (6, 3)))
-        upstream = rng.normal((6, 7))
+        x, w, b, side = (Tensor(rng.normal(size=shape)) for shape in ((6, 5), (5, 4), (4,), (6, 3)))
+        upstream = rng.normal(size=(6, 7))
         for rate in (0.0, 0.5):
             def loss(fused):
                 h = nm.dense(x, w, b, rate, Rng(75)) if fused else nm.dropout(nm.dense(x, w, b), rate, Rng(75), True)
@@ -694,9 +709,9 @@ class TestDense:
 class TestGateMix:
     def test_bitwise_equal_to_composed_primitives(self):
         rng = Rng(41)
-        e, enh = Tensor(rng.normal((3, 6))), Tensor(rng.normal((3, 6)))
+        e, enh = Tensor(rng.normal(size=(3, 6))), Tensor(rng.normal(size=(3, 6)))
         gate = Tensor(np.array([0.0, 1.5, -2.0, 40.0, -40.0, 0.3]))  # both saturations
-        upstream = rng.normal((3, 6))
+        upstream = rng.normal(size=(3, 6))
 
         def composed():
             s = nm.sigmoid(gate)
@@ -720,10 +735,10 @@ class TestCross:
         # two stacked layers from one x0, as in the cross-net; with shared,
         # the first layer's x_l is x0 itself
         rng = Rng(42)
-        x0 = Tensor(rng.normal((7, 5)))
-        x_l = x0 if shared else Tensor(rng.normal((7, 5)))
-        layers = [(Tensor(rng.normal((5,))), Tensor(rng.normal((5,)))) for _ in range(2)]
-        upstream = rng.normal((7, 5))
+        x0 = Tensor(rng.normal(size=(7, 5)))
+        x_l = x0 if shared else Tensor(rng.normal(size=(7, 5)))
+        layers = [(Tensor(rng.normal(size=(5,))), Tensor(rng.normal(size=(5,)))) for _ in range(2)]
+        upstream = rng.normal(size=(7, 5))
         params = [x0, x_l] + [t for layer in layers for t in layer]
 
         def net(layer_fn):
@@ -779,7 +794,7 @@ class TestBce:
 
 class TestNoGrad:
     def test_primitives_record_nothing_and_recording_resumes(self):
-        x = Tensor(Rng(50).normal((2, 3, 2)))
+        x = Tensor(Rng(50).normal(size=(2, 3, 2)))
         eye = Tensor(np.eye(2))
         with pytest.raises(RuntimeError), nm.no_grad():
             out = nm.ctm_head(x, eye, eye, eye, 2)[0]

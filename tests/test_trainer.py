@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,10 @@ class TestCurriculumStep:
             if s.c != visited[-1]:
                 visited.append(s.c)
         assert visited == [39, 34, 29, 24, 19, 14]
+
+    def test_initial_defaults_are_the_train_settings_defaults(self):
+        s, settings = CurriculumState.initial(c_max=39, lr=1e-4), trainer_mod.TrainSettings()
+        assert (s.lr_decay, s.c_min) == (settings.lr_decay, settings.c_min)
 
 
 class TestOptimizerStep:
@@ -256,6 +261,12 @@ def small_config(**kw):
 
 
 class TestFit:
+    def test_built_settings_cannot_be_changed(self):
+        settings = trainer_mod.TrainSettings(batch_size=64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            settings.lr = -1.0
+        assert settings == trainer_mod.TrainSettings(batch_size=64)
+
     def test_t_max_zero(self):
         tr, va, _ = small_data()
         with pytest.raises(ParameterError, match="trainer t_max must be an integer >= 1, got 0"):
