@@ -27,6 +27,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import contextvars
+import ctypes
 import functools
 import hashlib
 import math
@@ -133,6 +134,8 @@ def _branch_worker():
     global _branch_pool
     with _branch_pool_lock:
         if _branch_pool is None:
+            if os.name == "posix" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+                libc.mallopt(-8, 1)  # M_ARENA_MAX = 1: share the caller's heap (README: peak RSS)
             _branch_pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="delta-tower2", initializer=_mark_worker
             )

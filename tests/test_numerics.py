@@ -1,6 +1,11 @@
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +296,27 @@ def test_concurrently_on_the_worker_raises():
         nm._branch_pool = pool
     assert not hung, "concurrently() on the worker hung"
     assert len(errors) == 1 and "worker" in str(errors[0])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's malloc arenas")
+def test_the_worker_allocates_from_the_callers_heap():
+    """A fresh process that has run work on the worker reports one malloc
+    arena, so where a freed array of either thread sits does not depend on
+    how the two interleave."""
+    probe = (
+        "import ctypes, numpy as np\n"
+        "from delta_ctr import numerics as nm\n"
+        "nm.concurrently(lambda: np.ones((400, 1000)).sum(), lambda: np.ones((400, 1000)).sum())\n"
+        "ctypes.CDLL(None).malloc_stats()\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nm.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.count("Arena ") == 1, out.stderr
 
 
 @pytest.mark.parametrize("case", ["add_self", "reshape", "concat"])
