@@ -27,7 +27,6 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import contextvars
-import ctypes
 import functools
 import hashlib
 import math
@@ -50,7 +49,10 @@ class GraphError(RuntimeError):
     was already consumed by backward()."""
 
 
-# names of all registered differentiable primitives, for gradcheck reports
+# names of the registered differentiable primitives, for gradcheck reports.
+# scale is one too: the model runs it and `delta gradcheck` checks it. It is
+# left out only because bench/spans.py appends it itself; listed here, its
+# metric names would appear twice in the bench.
 PRIMITIVES = [
     "matmul",
     "add",
@@ -134,8 +136,6 @@ def _branch_worker():
     global _branch_pool
     with _branch_pool_lock:
         if _branch_pool is None:
-            if os.name == "posix" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
-                libc.mallopt(-8, 1)  # M_ARENA_MAX = 1: share the caller's heap (README: peak RSS)
             _branch_pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="delta-tower2", initializer=_mark_worker
             )
@@ -314,13 +314,16 @@ def _walk_path2(nodes, root):
     path 2 (see _accum) and each untagged node of the block; return the
     held calls in the order they were made."""
     held = []
-    _held.set(held)  # in the worker's copy of the caller's context
-    while nodes:
-        node = nodes.pop()
-        if node._path == 2:
-            _run(node, root)
-        else:
-            held.append(functools.partial(_run, node, root))
+    token = _held.set(held)
+    try:
+        while nodes:
+            node = nodes.pop()
+            if node._path == 2:
+                _run(node, root)
+            else:
+                held.append(functools.partial(_run, node, root))
+    finally:
+        _held.reset(token)
     return held
 
 

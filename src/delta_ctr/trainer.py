@@ -72,11 +72,10 @@ class CurriculumState:
     flag: bool = False
 
     @classmethod
-    def initial(cls, c_max, lr, delta=None, lr_decay=TrainSettings.lr_decay, c_min=TrainSettings.c_min):
-        """The schedule at bottleneck c_max, of checked TrainSettings values."""
-        if delta is None:
-            delta = max(1, math.ceil(c_max / 8))
-        return cls(c=c_max, lr=lr, delta=delta, lr_decay=lr_decay, c_min=min(c_min, c_max))
+    def initial(cls, c_max, settings):
+        """The schedule a TrainSettings starts from at bottleneck c_max."""
+        delta = settings.delta if settings.delta is not None else max(1, math.ceil(c_max / 8))
+        return cls(c=c_max, lr=settings.lr, delta=delta, lr_decay=settings.lr_decay, c_min=min(settings.c_min, c_max))
 
 
 def curriculum_step(s, new_val_loss):
@@ -228,13 +227,7 @@ def fit(config, settings, train_ds, val_ds, seed):
     params = model_mod.ModelParams.init(config, train_ds.vocab_sizes, seed)
     opt = OptimizerState.init(params)
     n = config.n_fields
-    sched = CurriculumState.initial(
-        c_max=n,
-        lr=settings.lr,
-        delta=settings.delta,
-        lr_decay=settings.lr_decay,
-        c_min=settings.c_min,
-    )
+    sched = CurriculumState.initial(n, settings)
     history = TrainHistory()
     root = Rng(seed)
     # the best epoch's values, copied only where a later epoch could

@@ -84,8 +84,8 @@ def curriculum_oracle(losses, c_max, delta, lr0, lr_decay, c_min=2):
 
 
 def test_criterion_03_curriculum_state_machine():
-    def run(losses, **kw):
-        s = trainer_mod.CurriculumState.initial(**kw)
+    def run(losses, c_max, **kw):
+        s = trainer_mod.CurriculumState.initial(c_max, trainer_mod.TrainSettings(**kw))
         out = []
         for loss in losses:
             s = trainer_mod.curriculum_step(s, loss)
@@ -97,17 +97,17 @@ def test_criterion_03_curriculum_state_machine():
     seq = [0.50, 0.60, 0.60, 0.60, 0.60]
     want = [(39, 1e-4, False), (34, 1e-4, True), (34, 1e-5, False),
             (29, 1e-5, True), (29, 1e-6, False)]
-    if run(seq, c_max=39, lr=1e-4, delta=5) != want:
+    if run(seq, 39, lr=1e-4, delta=5) != want:
         failures.append("alternation")
     seq = [0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9]
     want = [(5, 1e-4, False), (3, 1e-4, True), (3, 1e-5, False),
             (2, 1e-5, True), (2, 1e-6, False), (2, 1e-6, True), (2, 1e-7, False)]
-    if run(seq, c_max=5, lr=1e-4, delta=2, c_min=2) != want:
+    if run(seq, 5, lr=1e-4, delta=2, c_min=2) != want:
         failures.append("floor")
     # eight scripted random sequences against the transliterated oracle
     for seed in range(8):
         losses = list(0.4 + 0.2 * Rng(seed).random((25,)))
-        if run(losses, c_max=39, lr=1e-4, delta=5) != curriculum_oracle(losses, 39, 5, 1e-4, 0.1):
+        if run(losses, 39, lr=1e-4, delta=5) != curriculum_oracle(losses, 39, 5, 1e-4, 0.1):
             failures.append(f"seq{seed}")
     report(3, "curriculum state machine", not failures,
            "10 scripted sequences" + (f", failing: {failures}" if failures else ""))

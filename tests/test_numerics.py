@@ -298,25 +298,65 @@ def test_concurrently_on_the_worker_raises():
     assert len(errors) == 1 and "worker" in str(errors[0])
 
 
+def _run_probe(probe, env=None, **kw):
+    """Run probe in a fresh Python process that imports delta_ctr from this
+    checkout; return the finished process."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nm.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, **kw)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's malloc arenas")
-def test_the_worker_allocates_from_the_callers_heap():
-    """A fresh process that has run work on the worker reports one malloc
-    arena, so where a freed array of either thread sits does not depend on
-    how the two interleave."""
+def test_the_worker_allocates_as_any_threaded_program():
+    """The engine sets no allocator state: a fresh process that has run work
+    on the worker reports more than one malloc arena, as glibc gives each
+    new thread an arena of its own."""
     probe = (
         "import ctypes, numpy as np\n"
         "from delta_ctr import numerics as nm\n"
         "nm.concurrently(lambda: np.ones((400, 1000)).sum(), lambda: np.ones((400, 1000)).sum())\n"
         "ctypes.CDLL(None).malloc_stats()\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(nm.__file__).parents[1])] + env.get("PYTHONPATH", "").split(os.pathsep)
+    env = {k: v for k, v in os.environ.items() if k != "MALLOC_ARENA_MAX"}
+    out = _run_probe(probe, env, check=True)
+    assert out.stderr.count("Arena ") > 1, out.stderr
+
+
+def test_a_backward_with_path_2_walked_inline_ends_with_the_serial_bits():
+    """Path 2's held calls are scoped to its walk: with concurrently() run
+    inline, in the caller's own context, applying them holds nothing more,
+    and x.grad is bit-equal to the serial walk's. It runs in a fresh process
+    with a timeout, so a replay that appends to the list it replays is
+    killed instead of left looping here; the process's address space is
+    capped, so that loop cannot take the machine's memory first."""
+    probe = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import numpy as np\n"
+        "from delta_ctr import numerics as nm\n"
+        "def grad():\n"
+        "    x = nm.Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))\n"
+        "    with nm.on_path(1):\n"
+        "        a = nm.mul(x, x)\n"
+        "    with nm.on_path(2):\n"
+        "        b = nm.scale(x, 3.0)\n"
+        "    nm.tsum(nm.add(a, b)).backward()\n"
+        "    return x.grad\n"
+        "split_paths, splits = nm._split_paths, []\n"
+        "nm._split_paths = lambda order: splits.append(split_paths(order)) or splits[-1]\n"
+        "nm.concurrently = lambda first, second: (first(), second())\n"
+        "inline = grad()\n"
+        "assert splits[0] is not None, 'the graph was walked serially'\n"
+        "nm._split_paths = lambda order: None\n"
+        "assert np.array_equal(inline, grad()), 'the inline walk changed the bits'\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stderr.count("Arena ") == 1, out.stderr
+    try:
+        out = _run_probe(probe, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("backward with path 2 walked inline did not end within 10 s")
+    assert out.returncode == 0, out.stderr
 
 
 @pytest.mark.parametrize("case", ["add_self", "reshape", "concat"])

@@ -34,8 +34,8 @@ def curriculum_oracle(losses, c_max, delta, lr0, lr_decay, c_min=2):
     return trace
 
 
-def run_schedule(losses, **kw):
-    s = CurriculumState.initial(**kw)
+def run_schedule(losses, c_max, **kw):
+    s = CurriculumState.initial(c_max, trainer_mod.TrainSettings(**kw))
     trace = []
     for loss in losses:
         s = curriculum_step(s, loss)
@@ -45,13 +45,13 @@ def run_schedule(losses, **kw):
 
 class TestCurriculumStep:
     def test_first_bad_epoch_shrinks_bottleneck(self):
-        s = CurriculumState.initial(c_max=39, lr=1e-4, delta=5)
+        s = CurriculumState.initial(39, trainer_mod.TrainSettings(lr=1e-4, delta=5))
         s = curriculum_step(s, 0.5)  # establishes best
         s2 = curriculum_step(s, 0.6)
         assert s2.c == 34 and s2.flag is True and s2.lr == 1e-4
 
     def test_second_bad_epoch_decays_lr(self):
-        s = CurriculumState.initial(c_max=39, lr=1e-4, delta=5, lr_decay=0.1)
+        s = CurriculumState.initial(39, trainer_mod.TrainSettings(lr=1e-4, delta=5, lr_decay=0.1))
         s = curriculum_step(s, 0.5)
         s = curriculum_step(s, 0.6)
         s = curriculum_step(s, 0.6)
@@ -59,7 +59,7 @@ class TestCurriculumStep:
         assert s.lr == pytest.approx(1e-5)
 
     def test_improvement_only_clears_flag(self):
-        s = CurriculumState.initial(c_max=39, lr=1e-4, delta=5)
+        s = CurriculumState.initial(39, trainer_mod.TrainSettings(lr=1e-4, delta=5))
         s = curriculum_step(s, 0.5)
         s = curriculum_step(s, 0.6)  # shrink, flag up
         s2 = curriculum_step(s, 0.4)  # improvement
@@ -67,7 +67,7 @@ class TestCurriculumStep:
         assert s2.best_loss == 0.4
 
     def test_floor(self):
-        s = CurriculumState.initial(c_max=10, lr=1e-4, delta=6, c_min=2)
+        s = CurriculumState.initial(10, trainer_mod.TrainSettings(lr=1e-4, delta=6, c_min=2))
         s = curriculum_step(s, 0.5)
         s = curriculum_step(s, 0.9)
         assert s.c == 4
@@ -80,7 +80,7 @@ class TestCurriculumStep:
 
     def test_scripted_sequence_hand_trace(self):
         losses = [0.50, 0.48, 0.49, 0.47, 0.48, 0.48]
-        got = run_schedule(losses, c_max=39, lr=1e-4, delta=5, lr_decay=0.1)
+        got = run_schedule(losses, 39, lr=1e-4, delta=5, lr_decay=0.1)
         want = curriculum_oracle(losses, 39, 5, 1e-4, 0.1)
         assert got == want
         # hand check of the final state: epochs 3 (0.49>0.48) shrink,
@@ -91,13 +91,13 @@ class TestCurriculumStep:
     def test_random_sequences_match_oracle(self, seed):
         r = Rng(seed)
         losses = list(0.4 + 0.2 * r.random((30,)))
-        got = run_schedule(losses, c_max=39, lr=1e-4, delta=5, lr_decay=0.1)
+        got = run_schedule(losses, 39, lr=1e-4, delta=5, lr_decay=0.1)
         assert got == curriculum_oracle(losses, 39, 5, 1e-4, 0.1)
 
     def test_monotone_non_increasing(self):
         r = Rng(3)
         losses = list(0.4 + 0.2 * r.random((50,)))
-        trace = run_schedule(losses, c_max=39, lr=1e-4, delta=5, lr_decay=0.1)
+        trace = run_schedule(losses, 39, lr=1e-4, delta=5, lr_decay=0.1)
         cs = [t[0] for t in trace]
         lrs = [t[1] for t in trace]
         assert all(a >= b for a, b in zip(cs, cs[1:]))
@@ -107,7 +107,7 @@ class TestCurriculumStep:
     def test_visited_grid_matches_delta_5(self):
         # worst-case alternating sequence from C=39 with delta=5 visits
         # 39,34,29,24,19,14
-        s = CurriculumState.initial(c_max=39, lr=1e-4, delta=5, c_min=14)
+        s = CurriculumState.initial(39, trainer_mod.TrainSettings(lr=1e-4, delta=5, c_min=14))
         visited = [s.c]
         s = curriculum_step(s, 0.5)
         for _ in range(12):
@@ -115,10 +115,6 @@ class TestCurriculumStep:
             if s.c != visited[-1]:
                 visited.append(s.c)
         assert visited == [39, 34, 29, 24, 19, 14]
-
-    def test_initial_defaults_are_the_train_settings_defaults(self):
-        s, settings = CurriculumState.initial(c_max=39, lr=1e-4), trainer_mod.TrainSettings()
-        assert (s.lr_decay, s.c_min) == (settings.lr_decay, settings.c_min)
 
 
 class TestOptimizerStep:
